@@ -391,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=lambda s: int(s, 0),
                         help="overrides the config seed")
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker thread budget for numeric kernels")
 
     sim = sub.add_parser("simulate", help="generate synthetic data files")
     sim.add_argument("what", choices=sorted(_SIMULATORS))
@@ -429,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads:
-        os.environ.setdefault("NUMBA_NUM_THREADS", str(args.threads))
     try:
         return args.func(args)
     except ConfigError as exc:
