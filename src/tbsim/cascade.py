@@ -7,7 +7,6 @@ cascade, telegraph blinking, and residual second-pair events.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,14 +92,6 @@ class EmissionRecords:
 
     def __len__(self) -> int:
         return len(self.cycle)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("cycle,t_xx_ps,t_x_ps,bin_label,phase_rad\n")
-        names = {0: "early", 1: "late"}
-        for c, txx, tx, b, ph in zip(self.cycle, self.t_xx, self.t_x, self.bin_label, self.phase):
-            buf.write(f"{c},{txx!r},{tx!r},{names.get(int(b), int(b))},{ph!r}\n")
-        return buf.getvalue()
 
 
 def two_photon_rabi_population(area: float, damping: float) -> float:

@@ -8,7 +8,6 @@ and the photon-budget ledger.
 from __future__ import annotations
 
 import functools
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,38 +44,6 @@ class LayerStack:
         if self.n_ambient <= 0 or self.n_substrate <= 0:
             raise ValueError("ambient and substrate indices must be positive")
         object.__setattr__(self, "layers", tuple(self.layers))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# n_ambient={self.n_ambient!r}\n")
-        buf.write(f"# n_substrate={self.n_substrate!r}\n")
-        buf.write("index,thickness_nm\n")
-        for layer in self.layers:
-            buf.write(f"{layer.refractive_index!r},{layer.thickness!r}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "LayerStack":
-        n_ambient, n_substrate = 1.0, N_GAAS
-        layers = []
-        for i, ln in enumerate(text.splitlines()):
-            if not ln:
-                continue
-            if ln.startswith("#"):
-                key, _, val = ln[1:].partition("=")
-                key = key.strip()
-                if key == "n_ambient":
-                    n_ambient = float(val)
-                elif key == "n_substrate":
-                    n_substrate = float(val)
-                continue
-            if ln.startswith("index"):
-                continue
-            parts = ln.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"malformed stack row {i + 1}: {ln!r}")
-            layers.append(Layer(float(parts[0]), float(parts[1])))
-        return cls(tuple(layers), n_ambient=n_ambient, n_substrate=n_substrate)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .cascade import two_pair_prob_for_g2, two_photon_rabi_population
 from .config import ConfigError, RunConfig, parse_config
 from .qcore import purity
 from .rng import CounterRng
+from .table import format_table, read_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -162,6 +163,9 @@ def _simulate_lifetime(cfg: RunConfig, run: _Run) -> None:
     run.write("lifetime_hist.csv", hist.to_csv())
 
 
+_RABI_COLUMNS = ("sqrt_power", "counts")
+
+
 def _simulate_rabi(cfg: RunConfig, run: _Run) -> None:
     sqrt_powers = np.round(np.linspace(0.1, 2.5, 25), 6)
     means = np.array([
@@ -170,9 +174,8 @@ def _simulate_rabi(cfg: RunConfig, run: _Run) -> None:
         for s in sqrt_powers])
     rng = CounterRng(cfg.seed, stream=81)
     rates = rng.poisson(means)
-    lines = ["sqrt_power,counts"]
-    lines += [f"{float(s)!r},{int(r)}" for s, r in zip(sqrt_powers, rates)]
-    run.write("rabi_scan.csv", "\n".join(lines) + "\n")
+    run.write("rabi_scan.csv", format_table(
+        _RABI_COLUMNS, zip(sqrt_powers.tolist(), rates.tolist())))
 
 
 _SIMULATORS = {
@@ -206,12 +209,8 @@ def _read_text(path: str) -> str:
 
 
 def _analyze_tomo(args, run: _Run) -> dict:
-    text = _read_text(args.input)
     exposures = tomo.slot_exposure_weights() if args.event_exposures else None
-    try:
-        table = tomo.CountsTable.from_csv(text, exposures=exposures)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    table = tomo.CountsTable.from_csv(_read_text(args.input), exposures=exposures)
     result = tomo.reconstruct(table, mc_runs=args.mc_runs, seed=args.seed or 0)
     if not result.converged:
         raise ConvergenceError("tomographic reconstruction did not converge")
@@ -228,25 +227,16 @@ def _analyze_tomo(args, run: _Run) -> dict:
 
 
 def _analyze_g2(args, run: _Run) -> dict:
-    try:
-        hist = optics.CoincidenceHistogram.from_csv(_read_text(args.input))
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
-    try:
-        g2, g2_err = fitting.g2_zero(hist, args.rep_period)
-        blink = fitting.blinking_factor(hist, args.rep_period)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    hist = optics.CoincidenceHistogram.from_csv(_read_text(args.input))
+    g2, g2_err = fitting.g2_zero(hist, args.rep_period)
+    blink = fitting.blinking_factor(hist, args.rep_period)
     return {"g2_zero": g2, "g2_zero_err": g2_err, "blinking_factor": blink,
             "rep_period_ps": args.rep_period}
 
 
 def _analyze_hom(args, run: _Run) -> dict:
-    try:
-        hist = optics.CoincidenceHistogram.from_csv(_read_text(args.input))
-        peaks = fitting.hom_five_peak(hist, args.delay)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    hist = optics.CoincidenceHistogram.from_csv(_read_text(args.input))
+    peaks = fitting.hom_five_peak(hist, args.delay)
     return {
         "g2_hom": peaks.g2_hom,
         "g2_hom_err": peaks.g2_hom_err,
@@ -258,11 +248,8 @@ def _analyze_hom(args, run: _Run) -> dict:
 
 
 def _analyze_lifetime(args, run: _Run) -> dict:
-    try:
-        hist = optics.CoincidenceHistogram.from_csv(_read_text(args.input))
-        fit = fitting.fit_lifetime(hist, args.jitter_fwhm / 2.3548200450309493)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    hist = optics.CoincidenceHistogram.from_csv(_read_text(args.input))
+    fit = fitting.fit_lifetime(hist, args.jitter_fwhm / 2.3548200450309493)
     if not fit.converged:
         raise ConvergenceError("lifetime fit did not converge")
     return {"tau_ps": fit.value("tau"), "tau_err_ps": fit.sigma("tau"),
@@ -270,21 +257,10 @@ def _analyze_lifetime(args, run: _Run) -> dict:
 
 
 def _analyze_rabi(args, run: _Run) -> dict:
-    rows = []
-    text = _read_text(args.input)
-    for i, ln in enumerate(text.splitlines()):
-        if not ln or ln.startswith("sqrt_power"):
-            continue
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise DataError(f"malformed scan row {i + 1}: {ln!r}")
-        try:
-            rows.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise DataError(f"malformed scan row {i + 1}: {ln!r}") from None
-    if not rows:
-        raise DataError("empty scan file")
-    x, y = np.array(rows).T
+    _, (x, y) = read_table(_read_text(args.input), _RABI_COLUMNS, "scan",
+                           (float, float))
+    if len(x) < 3:
+        raise DataError(f"scan has {len(x)} rows; the two-parameter fit needs 3 or more")
     fit = fitting.fit_rabi(x, y, rate_normalization=args.rate_normalization)
     if not fit.converged:
         raise ConvergenceError("Rabi fit did not converge")
@@ -293,10 +269,7 @@ def _analyze_rabi(args, run: _Run) -> dict:
 
 
 def _analyze_budget(args, run: _Run) -> dict:
-    try:
-        mapping = parse_config(_read_text(args.input))
-    except ConfigError as exc:
-        raise DataError(str(exc)) from None
+    mapping = parse_config(_read_text(args.input))
     channels = sorted({k.split(".", 1)[0] for k in mapping})
     fields = ("count_rate", "rep_rate", "blinking", "p_emit",
               "eta_detector", "eta_fiber", "eta_setup")
@@ -323,7 +296,10 @@ _ANALYZERS = {
 def cmd_analyze(args) -> int:
     run = _Run(f"analyze {args.what}", args.out or ".", None, args.seed)
     run.add_input(args.input)
-    result = _ANALYZERS[args.what](args, run)
+    try:
+        result = _ANALYZERS[args.what](args, run)
+    except ValueError as exc:  # malformed input, UnicodeDecodeError and ConfigError included
+        raise DataError(str(exc)) from None
     result["inputs"] = run.inputs
     run.write(f"analyze_{args.what}.json", _json_dumps(result))
     run.finish()
@@ -348,22 +324,22 @@ def cmd_cavity(args) -> int:
     if args.what == "spectrum":
         lam = np.linspace(850.0, 1000.0, 3001)
         big_r, big_t = cavity.transfer_matrix_spectrum(stack, lam)
-        lines = ["wavelength_nm,reflectivity,transmissivity"]
-        lines += [f"{float(w)!r},{float(r)!r},{float(t)!r}"
-                  for w, r, t in zip(lam, big_r, big_t)]
-        run.write("spectrum.csv", "\n".join(lines) + "\n")
+        run.write("spectrum.csv", format_table(
+            ("wavelength_nm", "reflectivity", "transmissivity"),
+            zip(lam.tolist(), big_r.tolist(), big_t.tolist())))
         lam0, q = cavity.cavity_resonance_and_q(stack)
         run.write("resonance.json", _json_dumps(
             {"wavelength_nm": lam0, "quality_factor": q}))
     elif args.what == "purcell":
+        defects = [cavity.DefectModel(height=h, diameter=defect.diameter)
+                   for h in (args.heights or [10.0, 20.0, 30.0])]
         lam0, q = cavity.cavity_resonance_and_q(stack)
         l_eff = cavity.effective_cavity_length(stack, lam0)
-        lines = ["height_nm,waist_nm,purcell"]
-        for h in (args.heights or [10.0, 20.0, 30.0]):
-            d = cavity.DefectModel(height=h, diameter=defect.diameter)
-            f_p = cavity.purcell_estimate(q, d, lam0, cavity.N_GAAS, l_eff)
-            lines.append(f"{h!r},{cavity.mode_waist(d)!r},{f_p!r}")
-        run.write("purcell.csv", "\n".join(lines) + "\n")
+        run.write("purcell.csv", format_table(
+            ("height_nm", "waist_nm", "purcell"),
+            ((d.height, cavity.mode_waist(d),
+              cavity.purcell_estimate(q, d, lam0, cavity.N_GAAS, l_eff))
+             for d in defects)))
     else:  # efficiency
         lam0, q = cavity.cavity_resonance_and_q(stack)
         etas = {f"{na:g}": cavity.extraction_efficiency(
@@ -429,18 +405,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except ValueError as exc:
+        # analyze turns every ValueError into DataError; simulate and cavity
+        # read only the config file and flags, so theirs is a config error
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -68,6 +68,13 @@ def _int(s):
     return v
 
 
+def _count(mapping: dict, key: str, default: int) -> int:
+    v = _get(mapping, key, _int, default)
+    if v <= 0:
+        raise ConfigError(key, f"must be a positive integer, got {v}")
+    return v
+
+
 @dataclass
 class RunConfig:
     """Validated simulation run configuration.
@@ -160,19 +167,19 @@ class RunConfig:
             analyzer_xx=analyzer_xx,
             analyzer_x=analyzer_x,
             detectors=detectors,
-            tomography_cycles=_get(mapping, "tomography.cycles_per_setting",
-                                   _int, 200000),
+            tomography_cycles=_count(mapping, "tomography.cycles_per_setting",
+                                     200000),
             hom_mutual_visibility=_get(mapping, "hom.mutual_visibility",
                                        float, 0.482),
-            hom_cycles=_get(mapping, "hom.cycles", _int, 400000),
+            hom_cycles=_count(mapping, "hom.cycles", 400000),
             autocorr_photon=photon,
-            autocorr_cycles=_get(mapping, "autocorr.cycles", _int, 300000),
+            autocorr_cycles=_count(mapping, "autocorr.cycles", 300000),
             autocorr_g2_target=_get(mapping, "autocorr.g2_target", float, 0.016),
             lifetime_tau=_get(mapping, "lifetime.tau_ps", float, 300.0),
-            lifetime_counts=_get(mapping, "lifetime.counts", _int, 100000),
+            lifetime_counts=_count(mapping, "lifetime.counts", 100000),
             rabi_damping=_get(mapping, "rabi.damping", float, 0.65),
-            rabi_cycles_per_point=_get(mapping, "rabi.cycles_per_point",
-                                       _int, 100000),
+            rabi_cycles_per_point=_count(mapping, "rabi.cycles_per_point",
+                                         100000),
             stack=stack,
             defect=defect,
             output_dir=_get(mapping, "output.dir", str, "."),

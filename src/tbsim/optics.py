@@ -9,7 +9,6 @@ detection port (the photon may return toward the source).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +17,7 @@ from . import rng
 from .cascade import EmitterParams, PulseTrain, blinking_telegraph, sample_pair_emission
 from .kernels import dead_time_mask, pair_delay_counts
 from .qcore import DensityMatrix
+from .table import format_table, read_table
 
 JITTER_FWHM_TO_SIGMA = 1.0 / 2.355
 
@@ -28,13 +28,10 @@ class Interferometer:
 
     delay: float = 3000.0
     phase: float = 0.0
-    split_ratio: float = 0.5
 
     def __post_init__(self):
         if self.delay <= 0:
             raise ValueError("interferometer delay must be positive")
-        if not (0.0 < self.split_ratio < 1.0):
-            raise ValueError("split_ratio must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -83,24 +80,13 @@ class PhotonEvents:
         return self.time[self.channel == ch]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("channel,timestamp_ps\n")
-        for c, t in zip(self.channel, self.time):
-            buf.write(f"{int(c)},{float(t)!r}\n")
-        return buf.getvalue()
+        return format_table(("channel", "timestamp_ps"),
+                            zip(self.channel.tolist(), self.time.tolist()))
 
     @classmethod
     def from_csv(cls, text: str) -> "PhotonEvents":
-        lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-        if lines and lines[0].startswith("channel"):
-            lines = lines[1:]
-        ch, tm = [], []
-        for i, ln in enumerate(lines):
-            parts = ln.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"malformed event row {i + 1}: {ln!r}")
-            ch.append(int(parts[0]))
-            tm.append(float(parts[1]))
+        _, (ch, tm) = read_table(text, ("channel", "timestamp_ps"), "event",
+                                 (int, float))
         return cls(np.array(ch, dtype=np.int8), np.array(tm))
 
 
@@ -139,42 +125,31 @@ class CoincidenceHistogram:
         return int(self.counts[np.abs(c - center) <= half_width].sum())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# bin_width_ps={self.bin_width!r}\n")
-        buf.write(f"# origin_ps={self.origin!r}\n")
-        buf.write("delay_ps,counts\n")
-        for c, n in zip(self.centers, self.counts):
-            buf.write(f"{float(c)!r},{n}\n")
-        return buf.getvalue()
+        return format_table(
+            ("delay_ps", "counts"),
+            zip(self.centers.tolist(), self.counts.tolist()),
+            meta={"bin_width_ps": self.bin_width, "origin_ps": self.origin})
 
     @classmethod
     def from_csv(cls, text: str) -> "CoincidenceHistogram":
-        bin_width = None
-        origin = None
-        rows = []
-        for i, ln in enumerate(text.splitlines()):
-            if not ln:
-                continue
-            if ln.startswith("#"):
-                key, _, val = ln[1:].partition("=")
-                key = key.strip()
-                if key == "bin_width_ps":
-                    bin_width = float(val)
-                elif key == "origin_ps":
-                    origin = float(val)
-                continue
-            if ln.startswith("delay_ps"):
-                continue
-            parts = ln.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"malformed histogram row {i + 1}: {ln!r}")
-            rows.append((float(parts[0]), int(parts[1])))
-        if bin_width is None:
+        """Read a histogram file; each `delay_ps` must be its row's bin center."""
+        meta, (delays, counts) = read_table(text, ("delay_ps", "counts"),
+                                            "histogram", (float, int))
+        if "bin_width_ps" not in meta:
             raise ValueError("histogram file missing '# bin_width_ps=' header")
-        counts = np.array([n for _, n in rows], dtype=np.int64)
-        if origin is None:
-            origin = rows[0][0] - 0.5 * bin_width if rows else 0.0
-        return cls(bin_width=bin_width, origin=origin, counts=counts)
+        if not counts:
+            raise ValueError("histogram file has no rows")
+        bin_width = meta["bin_width_ps"]
+        origin = meta.get("origin_ps", delays[0] - 0.5 * bin_width)
+        hist = cls(bin_width=bin_width, origin=origin, counts=counts)
+        centers = hist.centers
+        off = np.flatnonzero(np.abs(np.array(delays) - centers) > 1e-6 * bin_width)
+        if len(off):
+            i = off[0]
+            raise ValueError(
+                f"histogram bin {i} has delay_ps={delays[i]!r}, but bin_width_ps and "
+                f"origin_ps put its center at {float(centers[i])!r}")
+        return hist
 
 
 def symmetric_bins(max_delay: float, bin_width: float):

@@ -82,23 +82,6 @@ class DensityMatrix:
         return cls(np.array(obj["re"]) + 1j * np.array(obj["im"]))
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
-    """Normalized pure state over the time-bin basis."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex).reshape(4)
-        norm2 = float(np.sum(np.abs(a) ** 2))
-        if abs(norm2 - 1.0) > 1e-12:
-            raise ValueError(f"state norm^2 {norm2!r} != 1")
-        object.__setattr__(self, "amplitudes", a)
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
-
 def _as_matrix(rho) -> np.ndarray:
     return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
@@ -116,7 +99,7 @@ def concurrence(rho) -> float:
 def fidelity_to_state(rho, target) -> float:
     """Overlap <target| rho |target>."""
     m = _as_matrix(rho)
-    psi = target.amplitudes if isinstance(target, TwoQubitState) else np.asarray(target, dtype=complex)
+    psi = np.asarray(target, dtype=complex)
     val = psi.conj() @ m @ psi
     if abs(val.imag) > 1e-10:
         raise ValueError(f"fidelity has non-negligible imaginary part {val.imag:.3e}")

@@ -8,7 +8,6 @@ error bars.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +15,7 @@ from scipy.optimize import minimize
 
 from . import optics, rng
 from .qcore import BELL_PHI_PLUS, DensityMatrix, concurrence, fidelity_to_state
+from .table import format_table, read_table
 
 PROJECTOR_LABELS = ("E", "L", "P", "Pi")
 
@@ -30,6 +30,8 @@ _KETS = {
 # time-basis projections use one path (amplitude 1/2 -> weight 1/4), the
 # superposition bases use the overlap slot (weight 1/2)
 SLOT_WEIGHTS = {"E": 0.25, "L": 0.25, "P": 0.5, "Pi": 0.5}
+
+_COUNTS_COLUMNS = ("xx_proj", "x_proj", "count")
 
 _MLE_MAX_ITER = 10_000
 _MLE_FTOL = 1e-10
@@ -93,35 +95,27 @@ class CountsTable:
             raise ValueError("expected exactly 16 settings")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("xx_proj,x_proj,count\n")
-        for s, n in zip(self.settings, self.counts):
-            buf.write(f"{s.xx_projector},{s.x_projector},{n}\n")
-        return buf.getvalue()
+        return format_table(
+            _COUNTS_COLUMNS,
+            ((s.xx_projector, s.x_projector, n)
+             for s, n in zip(self.settings, self.counts.tolist())))
 
     @classmethod
     def from_csv(cls, text: str, exposures=None) -> "CountsTable":
+        _, (xx, x, n) = read_table(text, _COUNTS_COLUMNS, "counts", (str, str, int))
+        expected = [(s.xx_projector, s.x_projector) for s in tomography_settings()]
         rows = {}
-        lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-        if lines and lines[0].startswith("xx_proj"):
-            lines = lines[1:]
-        for i, ln in enumerate(lines):
-            parts = [p.strip() for p in ln.split(",")]
-            if len(parts) != 3:
-                raise ValueError(f"malformed counts row {i + 1}: {ln!r}")
-            try:
-                rows[(parts[0], parts[1])] = int(parts[2])
-            except ValueError as exc:
-                raise ValueError(f"malformed counts row {i + 1}: {ln!r}") from exc
-        settings = tomography_settings()
-        try:
-            counts = np.array(
-                [rows[(s.xx_projector, s.x_projector)] for s in settings], dtype=np.int64
-            )
-        except KeyError as exc:
-            raise ValueError(f"counts file missing setting {exc.args[0]}") from exc
+        for key, count in zip(zip(xx, x), n):
+            if key not in expected:
+                raise ValueError(f"counts file has unknown setting {key}")
+            if key in rows:
+                raise ValueError(f"counts file lists setting {key} twice")
+            rows[key] = count
+        missing = [key for key in expected if key not in rows]
+        if missing:
+            raise ValueError(f"counts file missing setting {missing[0]}")
         kwargs = {} if exposures is None else {"exposures": exposures}
-        return cls(counts=counts, **kwargs)
+        return cls(counts=[rows[key] for key in expected], **kwargs)
 
 
 def expected_probability(rho, setting: TomographySetting) -> float:

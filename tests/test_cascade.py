@@ -115,15 +115,6 @@ def test_merge_records_sorted():
     assert np.all(np.diff(m.t_xx) >= 0)
 
 
-def test_records_csv_schema():
-    p = EmitterParams()
-    rec = sample_pair_emission(p, PulseTrain.double(3000.0), seed=9, cycles=200)
-    lines = rec.to_csv().splitlines()
-    assert lines[0] == "cycle,t_xx_ps,t_x_ps,bin_label,phase_rad"
-    assert len(lines) == len(rec) + 1
-    assert all(ln.split(",")[3] in ("early", "late") for ln in lines[1:])
-
-
 def test_g2_inversion_fixed_point():
     p = EmitterParams()
     for g2 in (0.005, 0.016, 0.025, 0.1):

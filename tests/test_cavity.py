@@ -129,15 +129,6 @@ def test_extraction_efficiency_monotone_in_na():
         extraction_efficiency(d, 936.0, 1.5, stack=st)
 
 
-def test_stack_csv_roundtrip():
-    st = make_cavity_stack()
-    again = LayerStack.from_csv(st.to_csv())
-    assert again.n_ambient == st.n_ambient
-    assert again.n_substrate == st.n_substrate
-    assert len(again.layers) == len(st.layers)
-    assert all(a == b for a, b in zip(again.layers, st.layers))
-
-
 def test_budget_validation_and_exact_arithmetic():
     xx = EfficiencyBudget(count_rate=61000.0, rep_rate=80e6, blinking=0.625,
                           p_emit=0.65, eta_detector=0.25, eta_fiber=0.4,

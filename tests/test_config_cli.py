@@ -107,6 +107,72 @@ def test_malformed_csv_exits_3(tmp_path):
     assert main(["analyze", "g2", bad, "--out", str(tmp_path / "o")]) == 3
 
 
+_LABELS = ("E", "L", "P", "Pi")
+
+
+def _counts(n=100, extra=""):
+    rows = "".join(f"{a},{b},{n}\n" for a in _LABELS for b in _LABELS)
+    return "xx_proj,x_proj,count\n" + rows + extra
+
+
+def _flat_hist(shift=0.0):
+    # 41 bins of 10 ps around 0, flat: g2(0) = 1 with --rep-period 40
+    rows = "".join(f"{-200.0 + 10.0 * i + shift!r},50\n" for i in range(41))
+    return "# bin_width_ps=10.0\n# origin_ps=-205.0\ndelay_ps,counts\n" + rows
+
+
+_BUDGET = {"count_rate": "61000", "rep_rate": "80e6", "blinking": "0.625",
+           "p_emit": "0.65", "eta_detector": "0.25", "eta_fiber": "0.4",
+           "eta_setup": "0.12"}
+
+
+def _budget(**override):
+    return "".join(f"xx.{k} = {v}\n" for k, v in {**_BUDGET, **override}.items())
+
+
+# case: (command, content of the input file or of the config after the
+# seed line, extra flags, expected exit code)
+_MALFORMED = {
+    "tomo-all-zero-counts": ("analyze tomo", _counts(0), [], 3),
+    "tomo-duplicate-setting": ("analyze tomo", _counts(extra="E,E,5\n"), [], 3),
+    "tomo-unknown-setting": ("analyze tomo", _counts(extra="E,X,5\n"), [], 3),
+    "tomo-not-utf8": ("analyze tomo", b"\xff\xfexx_proj,x_proj,count\n", [], 3),
+    "g2-no-rows": ("analyze g2", "# bin_width_ps=10.0\ndelay_ps,counts\n", [], 3),
+    "g2-shifted-delay-column": ("analyze g2", _flat_hist(shift=5.0),
+                                ["--rep-period", "40"], 3),
+    "rabi-nan": ("analyze rabi", "sqrt_power,counts\n0.1,5\nnan,9\n0.3,20\n", [], 3),
+    "rabi-one-row": ("analyze rabi", "sqrt_power,counts\n0.5,40\n", [], 3),
+    "budget-unparsable-value": ("analyze budget", _budget(count_rate="abc"), [], 3),
+    "budget-out-of-range": ("analyze budget", _budget(blinking="1.5"), [], 3),
+    "hom-visibility-above-1": ("simulate hom", "hom.mutual_visibility = 1.5\n", [], 2),
+    "autocorr-negative-g2": ("simulate autocorr", "autocorr.g2_target = -0.5\n", [], 2),
+    "tomography-negative-cycles": (
+        "simulate tomography", "tomography.cycles_per_setting = -5\n", [], 2),
+    "hom-zero-cycles": ("simulate hom", "hom.cycles = 0\n", [], 2),
+    "autocorr-zero-cycles": ("simulate autocorr", "autocorr.cycles = 0\n", [], 2),
+    "lifetime-zero-counts": ("simulate lifetime", "lifetime.counts = 0\n", [], 2),
+    "rabi-negative-cycles": ("simulate rabi", "rabi.cycles_per_point = -5\n", [], 2),
+    "cavity-na-above-1": ("cavity efficiency", None, ["--nas", "1.5"], 2),
+    "cavity-negative-height": ("cavity purcell", None, ["--heights", "-1"], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_exit_code_and_one_line(tmp_path, capsys, case):
+    command, content, flags, code = _MALFORMED[case]
+    argv = command.split() + flags + ["--out", str(tmp_path / "o")]
+    if command.startswith("simulate"):
+        argv += ["--config", write(tmp_path, "run.cfg", "seed = 1\n" + content)]
+    elif content is not None:
+        path = tmp_path / "input"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        argv.insert(2, str(path))
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    prefix = "data error: " if code == 3 else "config error: "
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
 def test_missing_input_exits_3(tmp_path):
     assert main(["analyze", "g2", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "o")]) == 3

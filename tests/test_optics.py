@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tbsim import optics
 from tbsim.cascade import EmitterParams
@@ -61,13 +63,29 @@ def test_photon_events_csv_roundtrip():
     assert np.array_equal(ev.time, again.time)
 
 
-def test_histogram_csv_roundtrip_bit_exact():
-    h = CoincidenceHistogram(bin_width=12.5, origin=-1006.25,
-                             counts=np.arange(161))
+@given(st.floats(min_value=1e-3, max_value=1e6),
+       st.floats(min_value=-1e9, max_value=1e9),
+       st.lists(st.integers(min_value=0, max_value=2**62), min_size=1, max_size=300))
+@example(12.5, -1006.25, list(range(161)))
+@settings(max_examples=200, deadline=None)
+def test_histogram_csv_roundtrip_bit_exact(bin_width, origin, counts):
+    # also proves that the delay_ps check never rejects a file tbsim wrote
+    h = CoincidenceHistogram(bin_width=bin_width, origin=origin, counts=counts)
     again = CoincidenceHistogram.from_csv(h.to_csv())
     assert again.bin_width == h.bin_width
     assert again.origin == h.origin
     assert np.array_equal(again.counts, h.counts)
+
+
+def test_histogram_csv_exact_bytes():
+    h = CoincidenceHistogram(bin_width=0.1, origin=-0.25, counts=[3, 0, 12, 7])
+    assert h.to_csv() == ("# bin_width_ps=0.1\n"
+                          "# origin_ps=-0.25\n"
+                          "delay_ps,counts\n"
+                          "-0.2,3\n"
+                          "-0.09999999999999998,0\n"
+                          "0.0,12\n"
+                          "0.10000000000000003,7\n")
 
 
 def test_histogram_rejects_bad_rows():
