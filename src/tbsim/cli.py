@@ -201,11 +201,8 @@ def cmd_simulate(args) -> int:
 
 
 def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _analyze_tomo(args, run: _Run) -> dict:
@@ -295,9 +292,11 @@ _ANALYZERS = {
 
 def cmd_analyze(args) -> int:
     run = _Run(f"analyze {args.what}", args.out or ".", None, args.seed)
-    run.add_input(args.input)
     try:
+        run.add_input(args.input)
         result = _ANALYZERS[args.what](args, run)
+    except OSError as exc:  # an input that is missing, a directory or unreadable
+        raise DataError(f"cannot read {args.input}: {exc}") from None
     except ValueError as exc:  # malformed input, UnicodeDecodeError and ConfigError included
         raise DataError(str(exc)) from None
     result["inputs"] = run.inputs

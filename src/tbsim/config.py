@@ -159,6 +159,13 @@ class RunConfig:
         photon = _get(mapping, "autocorr.photon", str, "xx")
         if photon not in ("xx", "x"):
             raise ConfigError("autocorr.photon", "must be 'xx' or 'x'")
+        g2_target = _get(mapping, "autocorr.g2_target", float, 0.016)
+        if not g2_target >= 0.0:
+            raise ConfigError("autocorr.g2_target", f"must be non-negative, got {g2_target}")
+        hom_visibility = _get(mapping, "hom.mutual_visibility", float, 0.482)
+        if not 0.0 <= hom_visibility <= 1.0:
+            raise ConfigError("hom.mutual_visibility",
+                              f"must be in [0, 1], got {hom_visibility}")
 
         return cls(
             seed=seed,
@@ -169,12 +176,11 @@ class RunConfig:
             detectors=detectors,
             tomography_cycles=_count(mapping, "tomography.cycles_per_setting",
                                      200000),
-            hom_mutual_visibility=_get(mapping, "hom.mutual_visibility",
-                                       float, 0.482),
+            hom_mutual_visibility=hom_visibility,
             hom_cycles=_count(mapping, "hom.cycles", 400000),
             autocorr_photon=photon,
             autocorr_cycles=_count(mapping, "autocorr.cycles", 300000),
-            autocorr_g2_target=_get(mapping, "autocorr.g2_target", float, 0.016),
+            autocorr_g2_target=g2_target,
             lifetime_tau=_get(mapping, "lifetime.tau_ps", float, 300.0),
             lifetime_counts=_count(mapping, "lifetime.counts", 100000),
             rabi_damping=_get(mapping, "rabi.damping", float, 0.65),

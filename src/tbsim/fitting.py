@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit, minimize
-from scipy.stats import exponnorm
 
 from .optics import CoincidenceHistogram, hom_distinguishable_fixture
 
@@ -147,6 +145,8 @@ def hom_delay_scan(offsets, rates) -> FitResult:
     r0_guess = float(np.max(rates))
     v_guess = float(np.clip(1.0 - np.min(rates) / max(r0_guess, 1e-30), 0.0, 1.0))
     tau_guess = max((offsets.max() - offsets.min()) / 6.0, 1.0)
+    from scipy.optimize import curve_fit
+
     try:
         popt, pcov = curve_fit(
             model, offsets, rates, p0=[r0_guess, max(v_guess, 1e-3), tau_guess],
@@ -168,12 +168,23 @@ def hom_delay_scan(offsets, rates) -> FitResult:
 
 
 def _emg_logpdf(t, tau, t0, sigma):
+    """Log density of an exponential of mean `tau` convolved with a Gaussian.
+
+    For sigma > 0 this is `scipy.stats.exponnorm.logpdf(t, tau / sigma,
+    loc=t0, scale=sigma)` written out term by term, bit-identical to it,
+    without importing `scipy.stats`.
+    """
     if sigma <= 0:
         out = np.full_like(t, -np.inf)
         ok = t >= t0
         out[ok] = -np.log(tau) - (t[ok] - t0) / tau
         return out
-    return exponnorm.logpdf(t, tau / sigma, loc=t0, scale=sigma)
+    from scipy.special import log_ndtr
+
+    k = tau / sigma
+    inv_k = 1.0 / k
+    z = (t - t0) / sigma
+    return inv_k * (0.5 * inv_k - z) + log_ndtr(z - inv_k) - np.log(k) - np.log(sigma)
 
 
 def fit_lifetime(hist: CoincidenceHistogram, jitter_sigma: float) -> FitResult:
@@ -200,6 +211,8 @@ def fit_lifetime(hist: CoincidenceHistogram, jitter_sigma: float) -> FitResult:
         logp = _emg_logpdf(centers, tau, t0, jitter_sigma)
         # bin-center approximation of the integral; constant width drops out
         return float(-np.sum(counts * logp))
+
+    from scipy.optimize import minimize
 
     res = minimize(nll, [tau0, peak_t - jitter_sigma], method="Nelder-Mead",
                    options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 20000})
@@ -250,6 +263,8 @@ def fit_rabi(sqrt_powers, rates, rate_normalization: float = 1.0) -> FitResult:
 
     a0 = float(np.max(y))
     k0 = np.pi / max(x[np.argmax(y)], 1e-12)
+    from scipy.optimize import curve_fit
+
     try:
         popt, pcov = curve_fit(model, x, y, p0=[a0, k0], maxfev=20000)
     except RuntimeError:

@@ -459,6 +459,12 @@ def simulate_autocorrelation(emitter: EmitterParams, photon: str,
 _POISSON_MAX_PER_PULSE = 12
 
 
+def _poisson_cdf(mu: float) -> np.ndarray:
+    """Poisson CDF at k = 0..12 for mean `mu`: running products of mu / j, then a running sum."""
+    ratios = np.concatenate(([1.0], mu / np.arange(1, _POISSON_MAX_PER_PULSE + 1)))
+    return np.cumsum(np.exp(-mu) * np.cumprod(ratios))
+
+
 def simulate_poissonian_source(mean_photons: float, tau: float, rep_period: float,
                                detectors: DetectorModel, cycles: int, seed) -> PhotonEvents:
     """Pulsed laser-like reference source: Poisson photon number per pulse.
@@ -467,10 +473,9 @@ def simulate_poissonian_source(mean_photons: float, tau: float, rep_period: floa
     number distribution is truncated at 12 per pulse (negligible tail for
     the sub-photon means used here).
     """
-    k = np.arange(_POISSON_MAX_PER_PULSE + 1)
-    from scipy.stats import poisson as _poisson
-
-    cdf = _poisson.cdf(k, mean_photons)
+    if not mean_photons >= 0.0:
+        raise ValueError("mean_photons must be non-negative")
+    cdf = _poisson_cdf(mean_photons)
     r_n = rng.CounterRng(seed, 50)
     n = np.searchsorted(cdf, r_n.uniform(cycles), side="left")
     total = int(n.sum())

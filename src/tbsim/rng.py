@@ -112,33 +112,30 @@ class CounterRng:
         Each draw gets a private SplitMix64 substream (keyed by this
         stream's seed and the draw counter) holding up to 64 uniforms for
         the rejection loop, so the sequence stays counter-addressable.
+        A mean of zero or less gives 0. A mean below 10 uses Knuth's
+        multiplication method: the draw is the first k at which the running
+        product of uniforms 0..k falls below exp(-mean). Larger means use
+        PTRS transformed rejection.
         """
         means = np.atleast_1d(np.asarray(means, dtype=np.float64))
         keys = random_u64(self.seed, self._next_counters(len(means)))
-        out = np.empty(len(means), dtype=np.int64)
-        for i, (mu, key) in enumerate(zip(means, keys)):
-            out[i] = _poisson_one(mu, key)
+        out = np.zeros(len(means), dtype=np.int64)
+        drawn = ~(means <= 0.0)  # not `> 0`: a NaN mean reaches PTRS, which raises
+        us = uniform(keys[drawn, None], np.arange(_POISSON_BUDGET, dtype=np.uint64))
+        mu = means[drawn]
+        knuth = mu < 10.0
+        below = np.cumprod(us[knuth], axis=1) < np.exp(-mu[knuth])[:, None]
+        if not below.any(axis=1).all():
+            raise RuntimeError("poisson sampling exhausted its draw budget")
+        k = np.empty(len(mu), dtype=np.int64)
+        k[knuth] = below.argmax(axis=1)
+        for i in np.flatnonzero(~knuth):
+            k[i] = _poisson_ptrs(mu[i], us[i])
+        out[drawn] = k
         return out
 
 
 _POISSON_BUDGET = 64
-
-
-def _poisson_one(mu: float, key: np.uint64) -> int:
-    """Single Poisson draw from the 64-uniform budget of a private key."""
-    if mu <= 0.0:
-        return 0
-    us = uniform(key, np.arange(_POISSON_BUDGET, dtype=np.uint64))
-    if mu < 10.0:
-        # Knuth multiplication method
-        limit = np.exp(-mu)
-        prod = 1.0
-        for k in range(_POISSON_BUDGET):
-            prod *= us[k]
-            if prod < limit:
-                return k
-        raise RuntimeError("poisson sampling exhausted its draw budget")
-    return _poisson_ptrs(mu, us)
 
 
 def _poisson_ptrs(mu: float, us: np.ndarray) -> int:

@@ -19,10 +19,15 @@ def format_table(columns, rows, meta=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
 def _parse(cast, field: str):
     value = cast(field)
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"non-finite value {field!r}")
+    if isinstance(value, int) and not _INT64_MIN <= value <= _INT64_MAX:
+        raise ValueError(f"integer {field!r} is outside the 64-bit range")
     return value
 
 
@@ -31,8 +36,9 @@ def read_table(text: str, columns, what: str, types):
 
     `types` holds one parser per column (`int`, `float` or `str`); fields
     are stripped of surrounding blanks. A missing or different header, a
-    row with the wrong field count, an unparsable value, a non-finite float
-    or a repeated metadata key raises ValueError naming `what` and the line.
+    row with the wrong field count, an unparsable value, a non-finite float,
+    an integer beyond int64 or a repeated metadata key raises ValueError
+    naming `what` and the line.
     """
     meta = {}
     cols = None  # one list per column once the header has been read

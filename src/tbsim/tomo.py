@@ -8,10 +8,10 @@ error bars.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import optics, rng
 from .qcore import BELL_PHI_PLUS, DensityMatrix, concurrence, fidelity_to_state
@@ -37,6 +37,25 @@ _MLE_MAX_ITER = 10_000
 _MLE_FTOL = 1e-10
 
 
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on the first call.
+
+    Only the MLE needs SciPy, so the commands that never fit a state do not
+    pay for importing it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def _projector(xx: str, x: str) -> np.ndarray:
+    k = np.kron(_KETS[xx], _KETS[x])
+    op = np.outer(k, k.conj())
+    op.flags.writeable = False  # shared by every caller
+    return op
+
+
 @dataclass(frozen=True)
 class TomographySetting:
     xx_projector: str
@@ -51,8 +70,8 @@ class TomographySetting:
         return np.kron(_KETS[self.xx_projector], _KETS[self.x_projector])
 
     def operator(self) -> np.ndarray:
-        k = self.ket()
-        return np.outer(k, k.conj())
+        """The projector |ket><ket| (read-only, built once per setting)."""
+        return _projector(self.xx_projector, self.x_projector)
 
 
 def tomography_settings() -> list[TomographySetting]:
@@ -171,23 +190,24 @@ def project_to_physical(m: np.ndarray) -> np.ndarray:
     return (vecs * vals) @ vecs.conj().T
 
 
-_LOWER_IDX = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+# the six strictly lower entries (1,0), (2,0), (2,1), (3,0), (3,1), (3,2);
+# entry j is held as parameters 4 + 2j (real part) and 5 + 2j (imaginary)
+_LOWER_ROWS, _LOWER_COLS = np.tril_indices(4, -1)
 
 
 def _t_from_params(t: np.ndarray) -> np.ndarray:
     m = np.zeros((4, 4), dtype=complex)
     m[np.diag_indices(4)] = t[:4]
-    for j, (r, c) in enumerate(_LOWER_IDX):
-        m[r, c] = t[4 + 2 * j] + 1j * t[5 + 2 * j]
+    m[_LOWER_ROWS, _LOWER_COLS] = t[4::2] + 1j * t[5::2]
     return m
 
 
 def _params_from_t(m: np.ndarray) -> np.ndarray:
     t = np.empty(16)
     t[:4] = np.diag(m).real
-    for j, (r, c) in enumerate(_LOWER_IDX):
-        t[4 + 2 * j] = m[r, c].real
-        t[5 + 2 * j] = m[r, c].imag
+    lower = m[_LOWER_ROWS, _LOWER_COLS]
+    t[4::2] = lower.real
+    t[5::2] = lower.imag
     return t
 
 
@@ -242,9 +262,9 @@ def mle_reconstruct(table: CountsTable, init: np.ndarray | None = None) -> MleRe
         gt = tm.conj().T @ g  # d nll / dT via 2 Re Tr(T^dag G dT)
         grad = np.empty(16)
         grad[:4] = 2.0 * np.real(np.diag(gt))
-        for j, (r, c) in enumerate(_LOWER_IDX):
-            grad[4 + 2 * j] = 2.0 * gt[c, r].real
-            grad[5 + 2 * j] = -2.0 * gt[c, r].imag
+        upper = gt[_LOWER_COLS, _LOWER_ROWS]
+        grad[4::2] = 2.0 * upper.real
+        grad[5::2] = -2.0 * upper.imag
         return nll, grad
 
     res = minimize(objective, t0, jac=True, method="L-BFGS-B",

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -55,6 +57,11 @@ def test_run_config_validation(tmp_path):
         RunConfig.from_mapping({"seed": "1", "detector.efficiency": "2.0"})
     with pytest.raises(ConfigError, match="autocorr.photon"):
         RunConfig.from_mapping({"seed": "1", "autocorr.photon": "z"})
+    for key, value in (("autocorr.g2_target", "-0.5"), ("autocorr.g2_target", "nan"),
+                       ("hom.mutual_visibility", "1.5"),
+                       ("hom.mutual_visibility", "-0.1")):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            RunConfig.from_mapping({"seed": "1", key: value})
 
 
 def test_baseline_config_ships_and_validates():
@@ -130,6 +137,8 @@ def _budget(**override):
     return "".join(f"xx.{k} = {v}\n" for k, v in {**_BUDGET, **override}.items())
 
 
+_DIRECTORY = object()  # the input path is a directory
+
 # case: (command, content of the input file or of the config after the
 # seed line, extra flags, expected exit code)
 _MALFORMED = {
@@ -138,6 +147,11 @@ _MALFORMED = {
     "tomo-unknown-setting": ("analyze tomo", _counts(extra="E,X,5\n"), [], 3),
     "tomo-not-utf8": ("analyze tomo", b"\xff\xfexx_proj,x_proj,count\n", [], 3),
     "g2-no-rows": ("analyze g2", "# bin_width_ps=10.0\ndelay_ps,counts\n", [], 3),
+    "g2-count-beyond-int64": (
+        "analyze g2", "# bin_width_ps=10.0\ndelay_ps,counts\n5.0,99999999999999999999999\n",
+        [], 3),
+    "g2-input-is-directory": ("analyze g2", _DIRECTORY, [], 3),
+    "tomo-count-beyond-int64": ("analyze tomo", _counts(2**63), [], 3),
     "g2-shifted-delay-column": ("analyze g2", _flat_hist(shift=5.0),
                                 ["--rep-period", "40"], 3),
     "rabi-nan": ("analyze rabi", "sqrt_power,counts\n0.1,5\nnan,9\n0.3,20\n", [], 3),
@@ -163,6 +177,8 @@ def test_malformed_input_exit_code_and_one_line(tmp_path, capsys, case):
     argv = command.split() + flags + ["--out", str(tmp_path / "o")]
     if command.startswith("simulate"):
         argv += ["--config", write(tmp_path, "run.cfg", "seed = 1\n" + content)]
+    elif content is _DIRECTORY:
+        argv.insert(2, str(tmp_path))
     elif content is not None:
         path = tmp_path / "input"
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
@@ -227,3 +243,35 @@ def test_lifetime_pipeline_convergence_exit(tmp_path):
     assert code == 0
     res = json.load(open(os.path.join(ana, "analyze_lifetime.json")))
     assert res["tau_ps"] == pytest.approx(300.0, rel=0.02)
+
+
+_NO_SCIPY_SCRIPT = """
+import os, sys
+from tbsim.cli import main
+
+cfg, out, budget = sys.argv[1:]
+try:
+    main(["--version"])
+except SystemExit:
+    pass
+for what in ("tomography", "hom", "autocorr", "lifetime", "rabi"):
+    assert main(["simulate", what, "--config", cfg, "--out", out]) == 0, what
+for what, path in (("g2", os.path.join(out, "autocorr_hist.csv")),
+                   ("hom", os.path.join(out, "hom_hist.csv")), ("budget", budget)):
+    assert main(["analyze", what, path, "--out", out]) == 0, what
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_without_a_fit_never_import_scipy(tmp_path):
+    # importing scipy.optimize and scipy.stats was most of every command's start-up
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+    cfg = write(tmp_path, "run.cfg", MINI_CFG + "hom.cycles = 40000\n"
+                "autocorr.cycles = 30000\nlifetime.counts = 20000\n")
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, cfg, str(tmp_path / "out"),
+         os.path.join(root, "budget.cfg")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import exponnorm
 
 from tbsim import fitting
@@ -114,13 +116,17 @@ def test_lifetime_fit_requires_counts():
         fitting.fit_lifetime(h, 7.0)
 
 
-def test_lifetime_fit_matches_emg_shape():
-    # spot-check the likelihood model against scipy's exponnorm pdf
-    sigma, tau = 6.794, 300.0
-    t = np.array([0.0, 100.0, 500.0])
-    want = exponnorm.logpdf(t, tau / sigma, loc=0.0, scale=sigma)
-    got = fitting._emg_logpdf(t, tau, 0.0, sigma)
-    assert np.allclose(got, want, atol=1e-12)
+@given(tau=st.floats(1.0, 5000.0), sigma=st.floats(0.01, 200.0),
+       t0=st.floats(-500.0, 500.0),
+       t=st.lists(st.floats(-2000.0, 20000.0), min_size=1, max_size=50))
+@example(tau=300.0, sigma=6.794, t0=0.0, t=[0.0, 100.0, 500.0])
+@settings(max_examples=300, deadline=None)
+def test_lifetime_fit_matches_emg_shape(tau, sigma, t0, t):
+    # the likelihood model is scipy's exponnorm log-density, bit for bit
+    t = np.array(t)
+    want = exponnorm.logpdf(t, tau / sigma, loc=t0, scale=sigma)
+    got = fitting._emg_logpdf(t, tau, t0, sigma)
+    assert np.array_equal(got, want)
 
 
 def test_rabi_fit_recovery():

@@ -1,5 +1,7 @@
 """Interferometer network, detection chain, and event-level statistics."""
 
+from decimal import Decimal, getcontext
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ from tbsim.optics import (CoincidenceHistogram, DetectorModel, Interferometer,
                           simulate_timebin_run, symmetric_bins,
                           timebin_slot_counts)
 from tbsim.qcore import concurrence, fidelity_to_state
+from tbsim.rng import CounterRng
 
 
 # --- analytic pieces ---------------------------------------------------------
@@ -235,6 +238,40 @@ def test_autocorrelation_rejects_unknown_species():
         simulate_autocorrelation(EmitterParams(), "y", DetectorModel.ideal(), 10, 0)
 
 
+def _exact_poisson_cdf(mu):
+    # correctly rounded CDF at k = 0..12 from 50-digit decimal arithmetic
+    getcontext().prec = 50
+    m = Decimal(mu)
+    term = (-m).exp()
+    cdf = [term]
+    for j in range(1, 13):
+        term = term * m / j
+        cdf.append(cdf[-1] + term)
+    return np.array([float(c) for c in cdf])
+
+
+@given(mu=st.floats(1e-3, 2.0))
+@example(mu=1.1426445402307184)  # scipy's poisson.cdf(0, mu) is 17 ulp off here
+@settings(max_examples=300, deadline=None)
+def test_poisson_cdf_within_rounding_error(mu):
+    # entry k rounds one exp (within 1 ulp), k quotients, k products and k
+    # sums of positive terms: its error is at most (3k + 2) ulp
+    want = _exact_poisson_cdf(mu)
+    bound = (3 * np.arange(13) + 2) * np.spacing(want)
+    assert np.all(np.abs(optics._poisson_cdf(mu) - want) <= bound)
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.2, 0.5])
+def test_poisson_cdf_draws_match_scipy(mu):
+    # the photon numbers a source draws are those of scipy's CDF
+    from scipy.stats import poisson
+
+    u = CounterRng(7, 50).uniform(200_000)
+    want = np.searchsorted(poisson.cdf(np.arange(13), mu), u, side="left")
+    got = np.searchsorted(optics._poisson_cdf(mu), u, side="left")
+    assert np.array_equal(got, want)
+
+
 def test_poissonian_source_flat_g2():
     ev = simulate_poissonian_source(0.2, 300.0, 12500.0,
                                     DetectorModel.ideal(), 150000, 23)
@@ -243,3 +280,5 @@ def test_poissonian_source_flat_g2():
     sides = [h.window_area(k * 12500.0, 12500.0 / 4)
              for k in (-3, -2, -1, 1, 2, 3)]
     assert center == pytest.approx(np.mean(sides), rel=0.1)
+    with pytest.raises(ValueError, match="mean_photons"):
+        simulate_poissonian_source(-0.2, 300.0, 12500.0, DetectorModel.ideal(), 10, 23)

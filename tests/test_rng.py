@@ -3,7 +3,7 @@ distributional checks, and determinism properties."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tbsim import rng
@@ -99,6 +99,42 @@ def test_poisson_moments_small_and_large_mu():
 def test_poisson_zero_mean():
     r = rng.CounterRng(1)
     assert np.all(r.poisson(np.zeros(10)) == 0)
+    with pytest.raises(ValueError):  # a NaN mean is not drawn as 0
+        r.poisson(np.array([1.0, np.nan]))
+
+
+def poisson_one_oracle(mu, key):
+    """One Poisson draw at a time from the 64 uniforms of its private key."""
+    if mu <= 0.0:
+        return 0
+    us = rng.uniform(key, np.arange(rng._POISSON_BUDGET, dtype=np.uint64))
+    if mu < 10.0:
+        limit = np.exp(-mu)
+        prod = 1.0
+        for k in range(rng._POISSON_BUDGET):
+            prod *= us[k]
+            if prod < limit:
+                return k
+        raise RuntimeError("poisson sampling exhausted its draw budget")
+    return rng._poisson_ptrs(mu, us)
+
+
+_MEANS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, float(np.nextafter(10.0, 0.0)),
+                     9.999999999, 10.0, 1e6, 1e12]),
+    st.floats(0.0, 10.0), st.floats(10.0, 1e9), st.floats(-5.0, 0.0))
+
+
+@given(seed=st.integers(min_value=0, max_value=MASK),
+       stream=st.integers(min_value=0, max_value=1000),
+       means=st.lists(_MEANS, min_size=1, max_size=20))
+@example(seed=0, stream=0, means=[0.0, 1e-300, 9.999999999, 10.0, 1e6])
+@settings(max_examples=300, deadline=None)
+def test_property_poisson_matches_per_draw_oracle(seed, stream, means):
+    r = rng.CounterRng(seed, stream)
+    keys = rng.random_u64(r.seed, np.arange(len(means), dtype=np.uint64))
+    want = [poisson_one_oracle(mu, key) for mu, key in zip(np.array(means), keys)]
+    assert r.poisson(means).tolist() == want
 
 
 def test_poisson_deterministic():

@@ -27,6 +27,8 @@ def test_format_and_read_roundtrip():
     ("x,n\nabc,2\n", "row 2"),
     ("x,n\n1.0,2\nnan,2\n", "row 3"),
     ("x,n\ninf,2\n", "row 2"),
+    ("x,n\n1.0,9223372036854775808\n", "row 2"),
+    ("x,n\n1.0,-9223372036854775809\n", "row 2"),
     ("# w=1.0\n# w=2.0\nx,n\n", "repeats"),
     ("# w=nan\nx,n\n", "metadata line 1"),
 ])
