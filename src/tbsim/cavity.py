@@ -7,7 +7,6 @@ and the photon-budget ledger.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,62 +120,57 @@ def reflection_phase(stack: LayerStack, wavelength: float) -> float:
     return float(np.angle(r[0]))
 
 
-class ResonanceNotFound(RuntimeError):
+class ResonanceNotFound(ValueError):
     pass
 
 
-def cavity_resonance_and_q(stack: LayerStack, scan=(915.0, 965.0),
-                           coarse_points: int = 5001) -> tuple[float, float]:
-    """Transmission-peak wavelength and Q = lambda0 / FWHM."""
-    lam = np.linspace(scan[0], scan[1], coarse_points)
+_FINE_POINTS = 65  # wavelengths per bracket and refinement step
+_TOL = 1e-12  # nm; final bracket width
+
+
+def cavity_resonance_and_q(stack: LayerStack) -> tuple[float, float]:
+    """Transmission-peak wavelength and Q = lambda0 / FWHM.
+
+    A 0.01 nm grid over 915-965 nm brackets the peak and both half-maximum
+    crossings. Each refinement step evaluates one grid of `_FINE_POINTS`
+    wavelengths per bracket and keeps the grid points around the target,
+    until the bracket is `_TOL` wide.
+    """
+    lam = np.linspace(915.0, 965.0, 5001)
     _, t = transfer_matrix_spectrum(stack, lam)
     i = int(np.argmax(t))
     if i == 0 or i == len(lam) - 1:
-        raise ResonanceNotFound(f"no interior transmission peak in {scan}")
+        raise ResonanceNotFound(
+            f"no interior transmission peak in {lam[0]:g}-{lam[-1]:g} nm")
 
-    # golden-section refinement of the peak
-    def neg_t(x):
-        return -transfer_matrix_spectrum(stack, [x])[1][0]
-
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(neg_t, bracket=(lam[i - 1], lam[i], lam[i + 1]),
-                          options={"xtol": 1e-10})
-    lam0 = float(res.x)
-    t_peak = -float(res.fun)
+    lo, hi = lam[i - 1], lam[i + 1]
+    while hi - lo > _TOL:
+        x = np.linspace(lo, hi, _FINE_POINTS)
+        _, tx = transfer_matrix_spectrum(stack, x)
+        k = int(np.argmax(tx))
+        lo, hi = x[max(k - 1, 0)], x[min(k + 1, _FINE_POINTS - 1)]
+    lam0, t_peak = float(x[k]), float(tx[k])
     if t_peak < 1e-6:
         raise ResonanceNotFound("transmission peak is vanishingly small")
 
+    # each crossing lies in (outer, inner] with T(outer) < half <= T(inner)
     half = t_peak / 2.0
-
-    def half_crossing(lo, hi):
-        # T(lo) and T(hi) straddle the half maximum
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if transfer_matrix_spectrum(stack, [mid])[1][0] > half:
-                hi = mid
-            else:
-                lo = mid
-            if abs(hi - lo) < 1e-9:
-                break
-        return 0.5 * (lo + hi)
-
-    span = scan[1] - scan[0]
-    lo = lam0
-    step = 1e-3
-    while transfer_matrix_spectrum(stack, [lo - step])[1][0] > half:
-        lo -= step
-        if lam0 - lo > span:
-            raise ResonanceNotFound("could not bracket the resonance FWHM")
-    left = half_crossing(lo - step, lo)
-    hi = lam0
-    while transfer_matrix_spectrum(stack, [hi + step])[1][0] > half:
-        hi += step
-        if hi - lam0 > span:
-            raise ResonanceNotFound("could not bracket the resonance FWHM")
-    right = half_crossing(hi + step, hi)
-    fwhm = right - left
-    return lam0, float(lam0 / fwhm)
+    below = t < half
+    if not (below[:i].any() and below[i:].any()):
+        raise ResonanceNotFound(
+            f"the resonance FWHM extends beyond {lam[0]:g}-{lam[-1]:g} nm")
+    left = i - int(np.argmax(below[i::-1]))
+    right = i + int(np.argmax(below[i:]))
+    outer = np.array([lam[left], lam[right]])
+    inner = np.array([lam[left + 1], lam[right - 1]])
+    rows = np.arange(2)
+    while np.max(np.abs(inner - outer)) > _TOL:
+        x = np.linspace(outer, inner, _FINE_POINTS, axis=1)
+        _, tx = transfer_matrix_spectrum(stack, x.ravel())
+        k = np.argmax(tx.reshape(x.shape) >= half, axis=1)
+        outer, inner = x[rows, k - 1], x[rows, k]
+    fwhm = float(np.diff(0.5 * (outer + inner))[0])
+    return lam0, lam0 / fwhm
 
 
 def mirror_penetration_depth(mirror: LayerStack, wavelength: float) -> float:
@@ -233,11 +227,6 @@ def purcell_estimate(q: float, defect: DefectModel, wavelength: float,
     return float(3.0 / (4.0 * np.pi**2) * (wavelength / n_cavity) ** 3 * q / v_mode)
 
 
-@functools.lru_cache(maxsize=16)
-def _resonance_cached(stack: LayerStack) -> tuple[float, float]:
-    return cavity_resonance_and_q(stack)
-
-
 def top_emission_fraction(stack: LayerStack, wavelength: float) -> float:
     """Photon escape share through the top mirror: T_top / (T_top + T_bot)."""
     top, _, bottom = split_cavity_stack(stack)
@@ -247,21 +236,18 @@ def top_emission_fraction(stack: LayerStack, wavelength: float) -> float:
 
 
 def extraction_efficiency(defect: DefectModel, wavelength: float, na: float,
-                          stack: LayerStack | None = None,
-                          n_cavity: float = N_GAAS) -> float:
+                          stack: LayerStack, lam0: float, q: float) -> float:
     """Collection efficiency into an objective of the given NA.
 
     Product of the cavity-mode coupling beta = F_p / (F_p + 1), the
     top-mirror escape share, and the fraction of the Gaussian far field
-    inside the NA cone.
+    inside the NA cone. `(lam0, q)` is the stack's `cavity_resonance_and_q`.
     """
     if not (0.0 < na < 1.0):
         raise ValueError("NA must be in (0, 1)")
-    if stack is None:
-        stack = make_cavity_stack()
-    lam0, q = _resonance_cached(stack)
+    _, spacer, _ = split_cavity_stack(stack)
     l_eff = effective_cavity_length(stack, lam0)
-    f_p = purcell_estimate(q, defect, lam0, n_cavity, l_eff)
+    f_p = purcell_estimate(q, defect, lam0, spacer.refractive_index, l_eff)
     beta = f_p / (f_p + 1.0)
     top_frac = top_emission_fraction(stack, lam0)
     theta_div = wavelength / (np.pi * mode_waist(defect))

@@ -104,10 +104,17 @@ class _Run:
                       _json_dumps(manifest))
 
 
+def _read_config(path: str) -> RunConfig:
+    try:
+        return RunConfig.from_file(path)
+    except OSError as exc:  # a config file that is missing, a directory or unreadable
+        raise DataError(f"cannot read {path}: {exc}") from None
+
+
 def _load_config(args) -> RunConfig:
     if not args.config:
         raise ConfigError("--config", "a config file is required")
-    cfg = RunConfig.from_file(args.config)
+    cfg = _read_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     return cfg
@@ -310,40 +317,37 @@ def cmd_analyze(args) -> int:
 
 def cmd_cavity(args) -> int:
     if args.config:
-        cfg = RunConfig.from_file(args.config)
-        stack, defect = cfg.stack, cfg.defect
-        cfg_hash = cfg.hash()
+        cfg = _read_config(args.config)
+        stack, defect, cfg_hash = cfg.stack, cfg.defect, cfg.hash()
     else:
-        stack, defect = cavity.make_cavity_stack(), cavity.DefectModel()
-        cfg_hash = None
+        stack, defect, cfg_hash = cavity.make_cavity_stack(), cavity.DefectModel(), None
+    defects = [cavity.DefectModel(height=h, diameter=defect.diameter)
+               for h in (args.heights or [10.0, 20.0, 30.0])]
+    nas = args.nas or [0.62, 0.7]
     run = _Run(f"cavity {args.what}", args.out or ".", cfg_hash, None)
     if args.config:
         run.add_input(args.config)
 
+    lam0, q = cavity.cavity_resonance_and_q(stack)
     if args.what == "spectrum":
         lam = np.linspace(850.0, 1000.0, 3001)
         big_r, big_t = cavity.transfer_matrix_spectrum(stack, lam)
         run.write("spectrum.csv", format_table(
             ("wavelength_nm", "reflectivity", "transmissivity"),
             zip(lam.tolist(), big_r.tolist(), big_t.tolist())))
-        lam0, q = cavity.cavity_resonance_and_q(stack)
         run.write("resonance.json", _json_dumps(
             {"wavelength_nm": lam0, "quality_factor": q}))
     elif args.what == "purcell":
-        defects = [cavity.DefectModel(height=h, diameter=defect.diameter)
-                   for h in (args.heights or [10.0, 20.0, 30.0])]
-        lam0, q = cavity.cavity_resonance_and_q(stack)
+        _, spacer, _ = cavity.split_cavity_stack(stack)
         l_eff = cavity.effective_cavity_length(stack, lam0)
         run.write("purcell.csv", format_table(
             ("height_nm", "waist_nm", "purcell"),
             ((d.height, cavity.mode_waist(d),
-              cavity.purcell_estimate(q, d, lam0, cavity.N_GAAS, l_eff))
+              cavity.purcell_estimate(q, d, lam0, spacer.refractive_index, l_eff))
              for d in defects)))
     else:  # efficiency
-        lam0, q = cavity.cavity_resonance_and_q(stack)
-        etas = {f"{na:g}": cavity.extraction_efficiency(
-            defect, lam0, na, stack=stack)
-            for na in (args.nas or [0.62, 0.7])}
+        etas = {f"{na:g}": cavity.extraction_efficiency(defect, lam0, na, stack, lam0, q)
+                for na in nas}
         run.write("efficiency.json", _json_dumps(
             {"wavelength_nm": lam0, "quality_factor": q,
              "extraction_efficiency": etas}))
@@ -404,7 +408,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, FileNotFoundError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -30,6 +30,9 @@ class FitResult:
 
 
 def _peak_positions(hist: CoincidenceHistogram, rep_period: float):
+    if not (np.isfinite(rep_period) and rep_period >= hist.bin_width):
+        raise ValueError(f"repetition period {rep_period} ps must be finite and at least "
+                         f"one bin width ({hist.bin_width} ps)")
     max_delay = hist.centers[-1]
     k_max = int(np.floor(max_delay / rep_period))
     return np.arange(-k_max, k_max + 1)
@@ -111,6 +114,8 @@ def hom_five_peak(hist: CoincidenceHistogram, delay: float,
     path-combination fixture, scaled by the measured B and C areas;
     visibility uses the 1 - 2 g2 convention.
     """
+    if not (np.isfinite(delay) and delay > 0):
+        raise ValueError(f"delay {delay} ps must be a positive finite number")
     if window is None:
         window = delay / 3.0
     if window > delay / 2.0:

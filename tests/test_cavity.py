@@ -77,6 +77,42 @@ def test_default_stack_resonance_near_936():
     assert q > 50.0
 
 
+def _dense_grid_resonance(stack, h):
+    """Brute-force oracle: T on a grid of step h over the scan window, the
+    peak at the grid maximum, the half-maximum crossings by linear
+    interpolation. Returns (lam0, fwhm, fwhm tolerance).
+
+    Linear interpolation misplaces a crossing by at most h^2 max|T''| / (8 |T'|),
+    and the grid maximum lies at most h^2 max|T''| / 8 below the peak, which
+    moves the half level and each crossing by half of that over |T'|; the
+    tolerance h^2 max|T''| / min|T'| covers both crossings with room to spare.
+    """
+    lam = np.linspace(915.0, 965.0, int(round(50.0 / h)) + 1)
+    _, t = transfer_matrix_spectrum(stack, lam)
+    k = int(np.argmax(t))
+    half = t[k] / 2.0
+    lo = k - int(np.argmax(t[k::-1] < half))  # last grid point below half on each side
+    hi = k + int(np.argmax(t[k:] < half))
+    left = np.interp(half, t[lo:lo + 2], lam[lo:lo + 2])
+    right = np.interp(half, t[hi - 1:hi + 1][::-1], lam[hi - 1:hi + 1][::-1])
+    curvature = np.max(np.abs(np.diff(t[lo - 1:hi + 2], 2))) / h**2
+    slope = min(t[lo + 1] - t[lo], t[hi - 1] - t[hi]) / h
+    return lam[k], right - left, h**2 * curvature / slope
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"top_pairs": 3, "t_cavity": 265.0}, {},
+    {"top_pairs": 8, "t_cavity": 275.0},
+    {"top_pairs": 6, "t_cavity": 268.0, "n_high": 3.5}])
+def test_resonance_against_dense_grid_oracle(kwargs):
+    stack = make_cavity_stack(**kwargs)
+    h = 2e-3
+    lam_grid, fwhm_grid, fwhm_tol = _dense_grid_resonance(stack, h)
+    lam0, q = cavity_resonance_and_q(stack)
+    assert abs(lam0 - lam_grid) <= h
+    assert abs(lam0 / q - fwhm_grid) <= fwhm_tol
+
+
 def test_resonance_not_found_for_bare_mirror():
     st = quarter_wave_mirror(3.46, 2.845, 10, 936.0, n_substrate=3.46)
     with pytest.raises(ResonanceNotFound):
@@ -121,12 +157,13 @@ def test_top_emission_fraction_favors_thin_mirror():
 
 def test_extraction_efficiency_monotone_in_na():
     st = make_cavity_stack()
+    lam0, q = cavity_resonance_and_q(st)
     d = DefectModel()
-    etas = [extraction_efficiency(d, 936.0, na, stack=st)
+    etas = [extraction_efficiency(d, 936.0, na, st, lam0, q)
             for na in (0.4, 0.62, 0.7, 0.85)]
     assert all(a < b for a, b in zip(etas, etas[1:]))
     with pytest.raises(ValueError):
-        extraction_efficiency(d, 936.0, 1.5, stack=st)
+        extraction_efficiency(d, 936.0, 1.5, st, lam0, q)
 
 
 def test_budget_validation_and_exact_arithmetic():

@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from tbsim import cavity
 from tbsim.cli import main
 from tbsim.config import ConfigError, RunConfig, config_hash, parse_config
 
@@ -137,10 +139,10 @@ def _budget(**override):
     return "".join(f"xx.{k} = {v}\n" for k, v in {**_BUDGET, **override}.items())
 
 
-_DIRECTORY = object()  # the input path is a directory
+_DIRECTORY = object()  # the input or config path is a directory
 
 # case: (command, content of the input file or of the config after the
-# seed line, extra flags, expected exit code)
+# seed line, extra flags, expected exit code[, text the message contains])
 _MALFORMED = {
     "tomo-all-zero-counts": ("analyze tomo", _counts(0), [], 3),
     "tomo-duplicate-setting": ("analyze tomo", _counts(extra="E,E,5\n"), [], 3),
@@ -168,25 +170,40 @@ _MALFORMED = {
     "rabi-negative-cycles": ("simulate rabi", "rabi.cycles_per_point = -5\n", [], 2),
     "cavity-na-above-1": ("cavity efficiency", None, ["--nas", "1.5"], 2),
     "cavity-negative-height": ("cavity purcell", None, ["--heights", "-1"], 2),
+    "cavity-no-interior-peak": ("cavity spectrum", "cavity.t_cavity_nm = 200\n", [], 2,
+                                "transmission peak"),
+    "cavity-fwhm-not-bracketed": ("cavity efficiency", "cavity.top_pairs = 0\n", [], 2,
+                                  "FWHM"),
+    "hom-zero-delay": ("analyze hom", _flat_hist(), ["--delay", "0"], 3, "delay"),
+    "hom-negative-delay": ("analyze hom", _flat_hist(), ["--delay", "-3000"], 3, "delay"),
+    "g2-zero-rep-period": ("analyze g2", _flat_hist(), ["--rep-period", "0"], 3,
+                           "repetition period"),
+    "g2-rep-period-below-bin-width": ("analyze g2", _flat_hist(), ["--rep-period", "1e-3"],
+                                      3, "repetition period"),
+    "simulate-config-is-directory": ("simulate tomography", _DIRECTORY, [], 3),
+    "cavity-config-is-directory": ("cavity spectrum", _DIRECTORY, [], 3),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_input_exit_code_and_one_line(tmp_path, capsys, case):
-    command, content, flags, code = _MALFORMED[case]
+    command, content, flags, code, *match = _MALFORMED[case]
     argv = command.split() + flags + ["--out", str(tmp_path / "o")]
-    if command.startswith("simulate"):
-        argv += ["--config", write(tmp_path, "run.cfg", "seed = 1\n" + content)]
-    elif content is _DIRECTORY:
-        argv.insert(2, str(tmp_path))
-    elif content is not None:
+    path = tmp_path  # used as is when content is _DIRECTORY
+    if content is not None and content is not _DIRECTORY:
+        if not command.startswith("analyze"):
+            content = "seed = 1\n" + content
         path = tmp_path / "input"
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    if command.startswith("analyze"):
         argv.insert(2, str(path))
+    elif content is not None:
+        argv += ["--config", str(path)]
     assert main(argv) == code
     err = capsys.readouterr().err
     prefix = "data error: " if code == 3 else "config error: "
     assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert all(text in err for text in match), err
 
 
 def test_missing_input_exits_3(tmp_path):
@@ -233,6 +250,27 @@ def test_cavity_commands(tmp_path):
     assert purcells == sorted(purcells)  # monotone in confinement
 
 
+def test_cavity_index_comes_from_the_stack(tmp_path):
+    # cavity.n_high sets the spacer index, so Purcell and efficiency use 3.5
+    cfg = write(tmp_path, "run.cfg", "seed = 1\ncavity.n_high = 3.5\n")
+    out = str(tmp_path / "cav")
+    assert main(["cavity", "purcell", "--config", cfg, "--out", out,
+                 "--heights", "20"]) == 0
+    assert main(["cavity", "efficiency", "--config", cfg, "--out", out,
+                 "--nas", "0.7"]) == 0
+    stack = RunConfig.from_file(cfg).stack
+    lam0, q = cavity.cavity_resonance_and_q(stack)
+    d = cavity.DefectModel(height=20.0)
+    f_p = cavity.purcell_estimate(
+        q, d, lam0, 3.5, cavity.effective_cavity_length(stack, lam0))
+    rows = open(os.path.join(out, "purcell.csv")).read().splitlines()
+    assert float(rows[1].split(",")[2]) == pytest.approx(f_p, rel=1e-12)
+    cone = 1.0 - np.exp(-2.0 * (0.7 * np.pi * cavity.mode_waist(d) / lam0) ** 2)
+    eta = f_p / (f_p + 1.0) * cavity.top_emission_fraction(stack, lam0) * cone
+    res = json.load(open(os.path.join(out, "efficiency.json")))
+    assert res["extraction_efficiency"]["0.7"] == pytest.approx(eta, rel=1e-12)
+
+
 def test_lifetime_pipeline_convergence_exit(tmp_path):
     cfg = write(tmp_path, "run.cfg", MINI_CFG + "lifetime.counts = 50000\n")
     out = str(tmp_path / "lt")
@@ -259,6 +297,8 @@ for what in ("tomography", "hom", "autocorr", "lifetime", "rabi"):
 for what, path in (("g2", os.path.join(out, "autocorr_hist.csv")),
                    ("hom", os.path.join(out, "hom_hist.csv")), ("budget", budget)):
     assert main(["analyze", what, path, "--out", out]) == 0, what
+for what in ("spectrum", "purcell", "efficiency"):
+    assert main(["cavity", what, "--out", out]) == 0, what
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
