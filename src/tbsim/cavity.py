@@ -153,21 +153,24 @@ def cavity_resonance_and_q(stack: LayerStack) -> tuple[float, float]:
     if t_peak < 1e-6:
         raise ResonanceNotFound("transmission peak is vanishingly small")
 
-    # each crossing lies in (outer, inner] with T(outer) < half <= T(inner)
+    # each crossing lies in (outer, inner] with T(outer) < half <= T(inner): outer is the
+    # nearest coarse point below half on that side of lam0, inner the next one or lam0
     half = t_peak / 2.0
-    below = t < half
-    if not (below[:i].any() and below[i:].any()):
+    j = int(np.searchsorted(lam, lam0))  # lam[j - 1] < lam0 <= lam[j]
+    left = np.flatnonzero(t[:j] < half)
+    right = np.flatnonzero(t[j:] < half)
+    if left.size == 0 or right.size == 0:
         raise ResonanceNotFound(
             f"the resonance FWHM extends beyond {lam[0]:g}-{lam[-1]:g} nm")
-    left = i - int(np.argmax(below[i::-1]))
-    right = i + int(np.argmax(below[i:]))
+    left, right = left[-1], j + right[0]
     outer = np.array([lam[left], lam[right]])
-    inner = np.array([lam[left + 1], lam[right - 1]])
+    inner = np.array([min(lam[left + 1], lam0), max(lam[right - 1], lam0)])
     rows = np.arange(2)
     while np.max(np.abs(inner - outer)) > _TOL:
         x = np.linspace(outer, inner, _FINE_POINTS, axis=1)
         _, tx = transfer_matrix_spectrum(stack, x.ravel())
-        k = np.argmax(tx.reshape(x.shape) >= half, axis=1)
+        # k >= 1, so every step keeps a sub-interval and the bracket shrinks
+        k = 1 + np.argmax(tx.reshape(x.shape)[:, 1:] >= half, axis=1)
         outer, inner = x[rows, k - 1], x[rows, k]
     fwhm = float(np.diff(0.5 * (outer + inner))[0])
     return lam0, lam0 / fwhm
@@ -235,8 +238,15 @@ def top_emission_fraction(stack: LayerStack, wavelength: float) -> float:
     return float(t_top[0] / (t_top[0] + t_bot[0]))
 
 
-def extraction_efficiency(defect: DefectModel, wavelength: float, na: float,
-                          stack: LayerStack, lam0: float, q: float) -> float:
+def purcell(stack: LayerStack, defect: DefectModel, lam0: float, q: float) -> float:
+    """Purcell factor of the stack's resonance `(lam0, q)` in its spacer's index."""
+    _, spacer, _ = split_cavity_stack(stack)
+    return purcell_estimate(q, defect, lam0, spacer.refractive_index,
+                            effective_cavity_length(stack, lam0))
+
+
+def extraction_efficiency(defect: DefectModel, na: float, stack: LayerStack,
+                          lam0: float, q: float) -> float:
     """Collection efficiency into an objective of the given NA.
 
     Product of the cavity-mode coupling beta = F_p / (F_p + 1), the
@@ -245,14 +255,11 @@ def extraction_efficiency(defect: DefectModel, wavelength: float, na: float,
     """
     if not (0.0 < na < 1.0):
         raise ValueError("NA must be in (0, 1)")
-    _, spacer, _ = split_cavity_stack(stack)
-    l_eff = effective_cavity_length(stack, lam0)
-    f_p = purcell_estimate(q, defect, lam0, spacer.refractive_index, l_eff)
+    f_p = purcell(stack, defect, lam0, q)
     beta = f_p / (f_p + 1.0)
-    top_frac = top_emission_fraction(stack, lam0)
-    theta_div = wavelength / (np.pi * mode_waist(defect))
+    theta_div = lam0 / (np.pi * mode_waist(defect))
     cone = 1.0 - np.exp(-2.0 * (na / theta_div) ** 2)
-    return float(beta * top_frac * cone)
+    return float(beta * top_emission_fraction(stack, lam0) * cone)
 
 
 @dataclass(frozen=True)

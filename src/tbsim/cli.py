@@ -338,15 +338,12 @@ def cmd_cavity(args) -> int:
         run.write("resonance.json", _json_dumps(
             {"wavelength_nm": lam0, "quality_factor": q}))
     elif args.what == "purcell":
-        _, spacer, _ = cavity.split_cavity_stack(stack)
-        l_eff = cavity.effective_cavity_length(stack, lam0)
         run.write("purcell.csv", format_table(
             ("height_nm", "waist_nm", "purcell"),
-            ((d.height, cavity.mode_waist(d),
-              cavity.purcell_estimate(q, d, lam0, spacer.refractive_index, l_eff))
+            ((d.height, cavity.mode_waist(d), cavity.purcell(stack, d, lam0, q))
              for d in defects)))
     else:  # efficiency
-        etas = {f"{na:g}": cavity.extraction_efficiency(defect, lam0, na, stack, lam0, q)
+        etas = {f"{na:g}": cavity.extraction_efficiency(defect, na, stack, lam0, q)
                 for na in nas}
         run.write("efficiency.json", _json_dumps(
             {"wavelength_nm": lam0, "quality_factor": q,

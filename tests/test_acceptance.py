@@ -223,8 +223,8 @@ def test_criterion_7_cavity():
         worst = max(worst, float(np.max(np.abs(r + t - 1.0))))
 
     d = cavity.DefectModel(height=20.0)
-    eta_070 = cavity.extraction_efficiency(d, lam0, 0.70, stack, lam0, q)
-    eta_062 = cavity.extraction_efficiency(d, lam0, 0.62, stack, lam0, q)
+    eta_070 = cavity.extraction_efficiency(d, 0.70, stack, lam0, q)
+    eta_062 = cavity.extraction_efficiency(d, 0.62, stack, lam0, q)
 
     report(7, "cavity", [
         (abs(lam0 - 936.0) < 2.0, f"resonance {lam0:.2f} nm (936±2), Q={q:.0f}"),

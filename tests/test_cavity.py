@@ -77,8 +77,8 @@ def test_default_stack_resonance_near_936():
     assert q > 50.0
 
 
-def _dense_grid_resonance(stack, h):
-    """Brute-force oracle: T on a grid of step h over the scan window, the
+def _dense_grid_resonance(stack, window, h):
+    """Brute-force oracle: T on a grid of step h over the window, the
     peak at the grid maximum, the half-maximum crossings by linear
     interpolation. Returns (lam0, fwhm, fwhm tolerance).
 
@@ -87,7 +87,7 @@ def _dense_grid_resonance(stack, h):
     moves the half level and each crossing by half of that over |T'|; the
     tolerance h^2 max|T''| / min|T'| covers both crossings with room to spare.
     """
-    lam = np.linspace(915.0, 965.0, int(round(50.0 / h)) + 1)
+    lam = np.linspace(*window, int(round((window[1] - window[0]) / h)) + 1)
     _, t = transfer_matrix_spectrum(stack, lam)
     k = int(np.argmax(t))
     half = t[k] / 2.0
@@ -100,14 +100,22 @@ def _dense_grid_resonance(stack, h):
     return lam[k], right - left, h**2 * curvature / slope
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"top_pairs": 3, "t_cavity": 265.0}, {},
-    {"top_pairs": 8, "t_cavity": 275.0},
-    {"top_pairs": 6, "t_cavity": 268.0, "n_high": 3.5}])
-def test_resonance_against_dense_grid_oracle(kwargs):
+_SCAN = (915.0, 965.0)
+
+
+@pytest.mark.parametrize("kwargs, window, h", [
+    ({"top_pairs": 3, "t_cavity": 265.0}, _SCAN, 2e-3),
+    ({}, _SCAN, 2e-3),
+    ({"top_pairs": 8, "t_cavity": 275.0}, _SCAN, 2e-3),
+    ({"top_pairs": 6, "t_cavity": 268.0, "n_high": 3.5}, _SCAN, 2e-3),
+    # FWHM about 9e-4 nm and 2e-5 nm, far below the 0.01 nm coarse step
+    ({"top_pairs": 30, "bottom_pairs": 30}, (935.97, 935.99), 1e-5),
+    ({"top_pairs": 40, "bottom_pairs": 40}, (935.9814, 935.9818), 2e-7)],
+    ids=["3-top-pairs", "nominal", "8-top-pairs", "n-high-3.5",
+         "30-30-pairs", "40-40-pairs"])
+def test_resonance_against_dense_grid_oracle(kwargs, window, h):
     stack = make_cavity_stack(**kwargs)
-    h = 2e-3
-    lam_grid, fwhm_grid, fwhm_tol = _dense_grid_resonance(stack, h)
+    lam_grid, fwhm_grid, fwhm_tol = _dense_grid_resonance(stack, window, h)
     lam0, q = cavity_resonance_and_q(stack)
     assert abs(lam0 - lam_grid) <= h
     assert abs(lam0 / q - fwhm_grid) <= fwhm_tol
@@ -159,11 +167,11 @@ def test_extraction_efficiency_monotone_in_na():
     st = make_cavity_stack()
     lam0, q = cavity_resonance_and_q(st)
     d = DefectModel()
-    etas = [extraction_efficiency(d, 936.0, na, st, lam0, q)
+    etas = [extraction_efficiency(d, na, st, lam0, q)
             for na in (0.4, 0.62, 0.7, 0.85)]
     assert all(a < b for a, b in zip(etas, etas[1:]))
     with pytest.raises(ValueError):
-        extraction_efficiency(d, 936.0, 1.5, st, lam0, q)
+        extraction_efficiency(d, 1.5, st, lam0, q)
 
 
 def test_budget_validation_and_exact_arithmetic():
