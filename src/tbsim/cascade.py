@@ -50,36 +50,6 @@ class EmitterParams:
             raise ValueError("blinking_mean_on_cycles must be >= 1")
 
 
-@dataclass(frozen=True)
-class PulseTrain:
-    """Excitation pulses within one repetition cycle.
-
-    `times` are offsets (ps) from the cycle start, strictly increasing.
-    """
-
-    times: np.ndarray
-    areas: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        t = np.atleast_1d(np.asarray(self.times, dtype=float))
-        a = np.broadcast_to(np.asarray(self.areas, dtype=float), t.shape).copy()
-        p = np.broadcast_to(np.asarray(self.phases, dtype=float), t.shape).copy()
-        if t.size and np.any(np.diff(t) <= 0):
-            raise ValueError("pulse times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "areas", a)
-        object.__setattr__(self, "phases", p)
-
-    @classmethod
-    def single_pi(cls) -> "PulseTrain":
-        return cls(np.array([0.0]), np.array([np.pi]), np.array([0.0]))
-
-    @classmethod
-    def double(cls, separation: float, area: float = np.pi, pump_phase: float = 0.0) -> "PulseTrain":
-        return cls(np.array([0.0, separation]), np.array([area, area]), np.array([0.0, pump_phase]))
-
-
 @dataclass
 class EmissionRecords:
     """Column-wise stream of cascade emission events."""
@@ -87,8 +57,6 @@ class EmissionRecords:
     cycle: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     t_xx: np.ndarray = field(default_factory=lambda: np.empty(0))
     t_x: np.ndarray = field(default_factory=lambda: np.empty(0))
-    bin_label: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int8))
-    phase: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __len__(self) -> int:
         return len(self.cycle)
@@ -121,27 +89,24 @@ def blinking_telegraph(on_fraction: float, mean_on_duration: float, seed, cycles
     return telegraph(us, p_on_off, p_off_on, start_on)
 
 
-def sample_pair_emission(params: EmitterParams, train: PulseTrain, seed, cycles: int) -> EmissionRecords:
+def sample_pair_emission(params: EmitterParams, seed, cycles: int) -> EmissionRecords:
     """Sample cascade emissions over `cycles` repetition periods.
 
-    Per ON cycle each pulse excites independently with probability
-    damping * sin^2(area/2); an excitation yields t_xx = pulse time +
-    Exp(tau_xx) and t_x = t_xx + Exp(tau_x).  With probability
-    two_pair_prob a second, uncorrelated pair from the same pulse is
-    appended.  Fully counter-indexed: identical (seed, params, train)
+    One pi pulse at each cycle start excites an ON cycle with probability
+    p_emit_pi (the Rabi population at area pi); an excitation yields t_xx =
+    cycle start + Exp(tau_xx) and t_x = t_xx + Exp(tau_x).  With
+    probability two_pair_prob a second, uncorrelated pair from the same
+    pulse is appended.  Fully counter-indexed: identical (seed, params)
     give a bit-identical stream.
     """
-    n_pulses = len(train.times)
-    if n_pulses == 0 or cycles == 0:
+    if cycles == 0:
         return EmissionRecords()
 
     on = blinking_telegraph(
         params.blinking_on_fraction, params.blinking_mean_on_cycles, seed, cycles
     ).astype(bool)
 
-    p_pulse = two_photon_rabi_population(train.areas, params.p_emit_pi)
-
-    counters = np.arange(cycles * n_pulses, dtype=np.uint64)
+    counters = np.arange(cycles, dtype=np.uint64)
     u_exc = rng.uniform(rng.stream_seed(seed, _S_EXCITE), counters)
     u_two = rng.uniform(rng.stream_seed(seed, _S_TWO_PAIR), counters)
     e_xx = rng.exponential(rng.stream_seed(seed, _S_EXP_XX), counters, params.tau_xx)
@@ -149,23 +114,14 @@ def sample_pair_emission(params: EmitterParams, train: PulseTrain, seed, cycles:
     e_xx2 = rng.exponential(rng.stream_seed(seed, _S_EXP_XX_EXTRA), counters, params.tau_xx)
     e_x2 = rng.exponential(rng.stream_seed(seed, _S_EXP_X_EXTRA), counters, params.tau_x)
 
-    cyc = np.repeat(np.arange(cycles, dtype=np.int64), n_pulses)
-    pulse_idx = np.tile(np.arange(n_pulses, dtype=np.int8), cycles)
-    excited = on[cyc] & (u_exc < np.tile(p_pulse, cycles))
+    cyc = np.arange(cycles, dtype=np.int64)
+    excited = on & (u_exc < params.p_emit_pi)
     extra = excited & (u_two < params.two_pair_prob)
-
-    pulse_abs = cyc * params.rep_period + np.tile(train.times, cycles)
-    phases = np.tile(train.phases, cycles)
+    pulse_abs = cyc * params.rep_period
 
     def pick(mask, exx, ex):
         t_xx = pulse_abs[mask] + exx[mask]
-        return EmissionRecords(
-            cycle=cyc[mask],
-            t_xx=t_xx,
-            t_x=t_xx + ex[mask],
-            bin_label=pulse_idx[mask],
-            phase=phases[mask],
-        )
+        return EmissionRecords(cycle=cyc[mask], t_xx=t_xx, t_x=t_xx + ex[mask])
 
     primary = pick(excited, e_xx, e_x)
     if not np.any(extra):
@@ -180,8 +136,6 @@ def merge_records(a: EmissionRecords, b: EmissionRecords) -> EmissionRecords:
         cycle=np.concatenate([a.cycle, b.cycle])[order],
         t_xx=np.concatenate([a.t_xx, b.t_xx])[order],
         t_x=np.concatenate([a.t_x, b.t_x])[order],
-        bin_label=np.concatenate([a.bin_label, b.bin_label])[order],
-        phase=np.concatenate([a.phase, b.phase])[order],
     )
 
 

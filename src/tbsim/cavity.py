@@ -60,21 +60,20 @@ class DefectModel:
 def make_cavity_stack(bottom_pairs: int = 24, top_pairs: int = 5,
                       t_high: float = 68.0, t_low: float = 82.0,
                       t_cavity: float = 270.0,
-                      n_high: float = N_GAAS, n_low: float = N_ALAS,
-                      n_cavity: float | None = None,
-                      n_substrate: float | None = None) -> LayerStack:
-    """Nominal structure: top DBR, lambda spacer, bottom DBR on substrate."""
-    n_cavity = n_high if n_cavity is None else n_cavity
-    n_substrate = n_high if n_substrate is None else n_substrate
+                      n_high: float = N_GAAS, n_low: float = N_ALAS) -> LayerStack:
+    """Nominal structure: top DBR, lambda spacer, bottom DBR on substrate.
+
+    The spacer and the substrate are of the high-index material.
+    """
     layers = []
     for _ in range(top_pairs):
         layers.append(Layer(n_high, t_high))
         layers.append(Layer(n_low, t_low))
-    layers.append(Layer(n_cavity, t_cavity))
+    layers.append(Layer(n_high, t_cavity))
     for _ in range(bottom_pairs):
         layers.append(Layer(n_low, t_low))
         layers.append(Layer(n_high, t_high))
-    return LayerStack(tuple(layers), n_ambient=1.0, n_substrate=n_substrate)
+    return LayerStack(tuple(layers), n_ambient=1.0, n_substrate=n_high)
 
 
 def characteristic_matrix(stack: LayerStack, wavelengths) -> np.ndarray:
@@ -211,13 +210,14 @@ def effective_cavity_length(stack: LayerStack, wavelength: float) -> float:
             + mirror_penetration_depth(bottom, wavelength))
 
 
-def mode_waist(defect: DefectModel, reference_height: float = 20.0) -> float:
+def mode_waist(defect: DefectModel) -> float:
     """Lateral Gaussian mode waist from the defect geometry (nm).
 
     The defect is reduced to a Gaussian confinement whose waist shrinks as
-    the dimple height grows; a calibration knob, not a solved mode profile.
+    the dimple height grows past a 20 nm reference height; a calibration,
+    not a solved mode profile.
     """
-    return float(0.5 * defect.diameter / np.sqrt(1.0 + defect.height / reference_height))
+    return float(0.5 * defect.diameter / np.sqrt(1.0 + defect.height / 20.0))
 
 
 def purcell_estimate(q: float, defect: DefectModel, wavelength: float,

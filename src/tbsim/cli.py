@@ -252,6 +252,9 @@ def _analyze_hom(args, run: _Run) -> dict:
 
 
 def _analyze_lifetime(args, run: _Run) -> dict:
+    if not (np.isfinite(args.jitter_fwhm) and args.jitter_fwhm >= 0):  # 0: ideal detector
+        raise DataError(f"--jitter-fwhm {args.jitter_fwhm} ps must be a non-negative "
+                        "finite number")
     hist = optics.CoincidenceHistogram.from_csv(_read_text(args.input))
     fit = fitting.fit_lifetime(hist, args.jitter_fwhm / 2.3548200450309493)
     if not fit.converged:
@@ -261,6 +264,9 @@ def _analyze_lifetime(args, run: _Run) -> dict:
 
 
 def _analyze_rabi(args, run: _Run) -> dict:
+    if not (np.isfinite(args.rate_normalization) and args.rate_normalization > 0):
+        raise DataError(f"--rate-normalization {args.rate_normalization} must be a "
+                        "positive finite number")
     _, (x, y) = read_table(_read_text(args.input), _RABI_COLUMNS, "scan",
                            (float, float))
     if len(x) < 3:

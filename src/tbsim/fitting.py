@@ -29,64 +29,53 @@ class FitResult:
         return self.params[name][1]
 
 
-def _peak_positions(hist: CoincidenceHistogram, rep_period: float):
+def _comb_areas(hist: CoincidenceHistogram, rep_period: float):
+    """Central, +-1 period and far peak areas of a pulsed coincidence comb.
+
+    Each peak is integrated over +-rep_period/4. The far peaks are those
+    beyond half the histogram range, clear of the blinking-correlated near
+    peaks. Returns (central, [area at -1, area at +1], far areas array).
+    """
     if not (np.isfinite(rep_period) and rep_period >= hist.bin_width):
         raise ValueError(f"repetition period {rep_period} ps must be finite and at least "
                          f"one bin width ({hist.bin_width} ps)")
     max_delay = hist.centers[-1]
     k_max = int(np.floor(max_delay / rep_period))
-    return np.arange(-k_max, k_max + 1)
+    if k_max < 5:
+        raise ValueError("histogram must span at least 5 repetition periods per side")
+    delays = np.arange(-k_max, k_max + 1) * rep_period
+    areas = hist.peak_areas(delays, rep_period / 4.0)
+    far = areas[np.abs(delays) > 0.5 * max_delay]
+    return int(areas[k_max]), areas[[k_max - 1, k_max + 1]].tolist(), far
 
 
-def g2_zero(hist: CoincidenceHistogram, rep_period: float, window: float | None = None,
-            far_min_delay: float | None = None) -> tuple[float, float]:
+def g2_zero(hist: CoincidenceHistogram, rep_period: float) -> tuple[float, float]:
     """Central-peak area over the mean far side-peak area, with Poisson error.
 
-    `far_min_delay` excludes blinking-correlated near peaks from the
-    normalization; by default only peaks in the outer half of the histogram
-    range are used.
+    Only the peaks in the outer half of the histogram range normalize, so
+    that blinking-correlated near peaks do not.
     """
-    if window is None:
-        window = rep_period / 4.0
-    ks = _peak_positions(hist, rep_period)
-    if np.max(np.abs(ks)) < 5:
-        raise ValueError("histogram must span at least 5 repetition periods per side")
-    if far_min_delay is None:
-        far_min_delay = 0.5 * hist.centers[-1]
-    central = hist.window_area(0.0, window)
-    far = np.array([hist.window_area(k * rep_period, window)
-                    for k in ks if abs(k * rep_period) > far_min_delay])
-    if len(far) == 0:
-        raise ValueError("no side peaks beyond far_min_delay in histogram range")
+    central, _, far = _comb_areas(hist, rep_period)
     mean_far = far.mean()
     if mean_far <= 0:
         raise ValueError("far side peaks are empty; cannot normalize")
     g2 = central / mean_far
-    # Poisson: var(central) = central, var(mean_far) = sum(far)/m^2
-    var = max(central, 1.0) / mean_far**2 + central**2 * far.sum() / (len(far) ** 2 * mean_far**4)
+    # Poisson: var(central) = central, var(mean_far) = sum(far)/m^2. In Python
+    # ints, because central^2 * sum(far) passes 2^63 already at 1e6 and 1e7 counts.
+    var = (max(central, 1.0) / mean_far**2
+           + central**2 * sum(far.tolist()) / (len(far) ** 2 * mean_far**4))
     return float(g2), float(np.sqrt(var))
 
 
-def blinking_factor(hist: CoincidenceHistogram, rep_period: float,
-                    window: float | None = None,
-                    far_min_delay: float | None = None) -> float:
+def blinking_factor(hist: CoincidenceHistogram, rep_period: float) -> float:
     """Asymptotic far side-peak area over the nearest side-peak area.
 
     Equals the telegraph ON fraction when the blinking dwell time is long
     compared to one cycle.
     """
-    if window is None:
-        window = rep_period / 4.0
-    ks = _peak_positions(hist, rep_period)
-    if np.max(np.abs(ks)) < 5:
-        raise ValueError("histogram must span at least 5 repetition periods per side")
-    if far_min_delay is None:
-        far_min_delay = 0.5 * hist.centers[-1]
-    near = 0.5 * (hist.window_area(rep_period, window)
-                  + hist.window_area(-rep_period, window))
-    far = np.array([hist.window_area(k * rep_period, window)
-                    for k in ks if abs(k * rep_period) > far_min_delay])
-    if len(far) == 0 or near <= 0:
+    _, (minus, plus), far = _comb_areas(hist, rep_period)
+    near = 0.5 * (plus + minus)
+    if near <= 0:
         raise ValueError("insufficient side peaks for blinking analysis")
     return float(far.mean() / near)
 
@@ -106,21 +95,19 @@ class HomPeaks:
 _HOM_FIXTURE = hom_distinguishable_fixture()
 
 
-def hom_five_peak(hist: CoincidenceHistogram, delay: float,
-                  window: float | None = None) -> HomPeaks:
+def hom_five_peak(hist: CoincidenceHistogram, delay: float) -> HomPeaks:
     """Integrate the five-peak HOM cluster and normalize the central peak.
 
-    The distinguishable-case expectation for peak A comes from the frozen
-    path-combination fixture, scaled by the measured B and C areas;
-    visibility uses the 1 - 2 g2 convention.
+    Each peak is integrated over +-delay/3. The distinguishable-case
+    expectation for peak A comes from the frozen path-combination fixture,
+    scaled by the measured B and C areas; visibility uses the 1 - 2 g2
+    convention.
     """
     if not (np.isfinite(delay) and delay > 0):
         raise ValueError(f"delay {delay} ps must be a positive finite number")
-    if window is None:
-        window = delay / 3.0
-    if window > delay / 2.0:
-        raise ValueError("peak windows overlap")
-    areas = {k: float(hist.window_area(k * delay, window)) for k in (-2, -1, 0, 1, 2)}
+    ks = (-2, -1, 0, 1, 2)
+    areas = {k: float(a) for k, a in
+             zip(ks, hist.peak_areas(np.array(ks) * delay, delay / 3.0).tolist())}
     w = _HOM_FIXTURE
     side_weight = w[-2] + w[-1] + w[1] + w[2]
     side_area = areas[-2] + areas[-1] + areas[1] + areas[2]
@@ -213,8 +200,9 @@ def fit_lifetime(hist: CoincidenceHistogram, jitter_sigma: float) -> FitResult:
         tau, t0 = theta
         if tau <= 0:
             return 1e30
-        logp = _emg_logpdf(centers, tau, t0, jitter_sigma)
-        # bin-center approximation of the integral; constant width drops out
+        # bin-center approximation of the integral; constant width drops out.
+        # Empty bins add nothing, also before t0, where an ideal detector has log p = -inf.
+        logp = np.where(counts > 0, _emg_logpdf(centers, tau, t0, jitter_sigma), 0.0)
         return float(-np.sum(counts * logp))
 
     from scipy.optimize import minimize

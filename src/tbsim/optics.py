@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .cascade import EmitterParams, PulseTrain, blinking_telegraph, sample_pair_emission
+from .cascade import EmitterParams, blinking_telegraph, sample_pair_emission
 from .kernels import dead_time_mask, pair_delay_counts
 from .qcore import DensityMatrix
 from .table import format_table, read_table
@@ -119,10 +119,36 @@ class CoincidenceHistogram:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def window_area(self, center: float, half_width: float) -> int:
-        """Sum of counts in bins whose centers lie within +-half_width."""
+    def peak_areas(self, centers, half_width: float) -> np.ndarray:
+        """Counts in the bins whose centers lie within +-half_width of each of `centers`.
+
+        One cumulative sum serves every peak. `searchsorted` finds each
+        peak's run of bins; both ends are then moved until they agree with
+        `abs(bin_center - center) <= half_width` as evaluated in floating
+        point, so the selection does not depend on how `center -+ half_width`
+        rounds.
+        """
         c = self.centers
-        return int(self.counts[np.abs(c - center) <= half_width].sum())
+        n = len(c)
+        pk = np.atleast_1d(np.asarray(centers, dtype=float))
+
+        def offset(i):  # bin center minus peak center, bin index clipped into range
+            return c[np.clip(i, 0, n - 1)] - pk
+
+        # lo: first bin with offset >= -half_width; hi: first bin after lo with
+        # offset > half_width. Both conditions are monotone in the bin index.
+        lo = np.searchsorted(c, pk - half_width, side="left")
+        while np.any(m := (lo > 0) & (offset(lo - 1) >= -half_width)):
+            lo[m] -= 1
+        while np.any(m := (lo < n) & ~(offset(lo) >= -half_width)):
+            lo[m] += 1
+        hi = np.maximum(np.searchsorted(c, pk + half_width, side="right"), lo)
+        while np.any(m := (hi < n) & (offset(hi) <= half_width)):
+            hi[m] += 1
+        while np.any(m := (hi > lo) & ~(offset(hi - 1) <= half_width)):
+            hi[m] -= 1
+        cum = np.concatenate(([0], np.cumsum(self.counts)))
+        return cum[hi] - cum[lo]
 
     def to_csv(self) -> str:
         return format_table(
@@ -158,13 +184,6 @@ def symmetric_bins(max_delay: float, bin_width: float):
     return -(half + 0.5) * bin_width, 2 * half + 1
 
 
-def merge_histograms(a: CoincidenceHistogram, b: CoincidenceHistogram) -> CoincidenceHistogram:
-    if (a.bin_width != b.bin_width or a.origin != b.origin
-            or len(a.counts) != len(b.counts)):
-        raise ValueError("histograms have incompatible binning")
-    return CoincidenceHistogram(a.bin_width, a.origin, a.counts + b.counts)
-
-
 def histogram_events(events: PhotonEvents, start_channel: int, stop_channel: int,
                      bin_width: float, max_delay: float) -> CoincidenceHistogram:
     """Bin all start-stop delays with |delay| <= max_delay."""
@@ -198,8 +217,11 @@ def coincidence_probability(phi_p: float, phi_x: float, phi_xx: float, visibilit
 
 # --- detection chain -------------------------------------------------------
 
+_N_CHANNELS = 2  # every arrangement ends on two detectors
+
+
 def _detect(raw_channel: np.ndarray, raw_time: np.ndarray, detectors: DetectorModel,
-            duration: float, seed, n_channels: int = 2) -> PhotonEvents:
+            duration: float, seed) -> PhotonEvents:
     """Apply efficiency, jitter, dark counts, and per-channel dead time."""
     r_eff = rng.CounterRng(seed, 100)
     r_jit = rng.CounterRng(seed, 101)
@@ -215,8 +237,8 @@ def _detect(raw_channel: np.ndarray, raw_time: np.ndarray, detectors: DetectorMo
 
     mean_dark = detectors.dark_count_rate * duration * 1e-12
     if mean_dark > 0:
-        n_dark = r_dark.poisson(np.full(n_channels, mean_dark))
-        dark_ch = np.repeat(np.arange(n_channels, dtype=np.int8), n_dark)
+        n_dark = r_dark.poisson(np.full(_N_CHANNELS, mean_dark))
+        dark_ch = np.repeat(np.arange(_N_CHANNELS, dtype=np.int8), n_dark)
         dark_tm = r_dark.uniform(int(n_dark.sum())) * duration
         ch = np.concatenate([ch, dark_ch])
         tm = np.concatenate([tm, dark_tm])
@@ -226,7 +248,7 @@ def _detect(raw_channel: np.ndarray, raw_time: np.ndarray, detectors: DetectorMo
 
     if detectors.dead_time > 0:
         keep = np.zeros(len(tm), dtype=bool)
-        for c in range(n_channels):
+        for c in range(_N_CHANNELS):
             sel = ch == c
             keep[sel] = dead_time_mask(tm[sel], detectors.dead_time)
         ch, tm = ch[keep], tm[keep]
@@ -449,7 +471,7 @@ def simulate_autocorrelation(emitter: EmitterParams, photon: str,
     """Hanbury Brown-Twiss stream of one photon species split 50/50."""
     if photon not in ("xx", "x"):
         raise ValueError("photon must be 'xx' or 'x'")
-    records = sample_pair_emission(emitter, PulseTrain.single_pi(), seed, cycles)
+    records = sample_pair_emission(emitter, seed, cycles)
     tm = records.t_xx if photon == "xx" else records.t_x
     r_split = rng.CounterRng(seed, 40)
     ch = (r_split.uniform(len(tm)) < 0.5).astype(np.int8)

@@ -16,8 +16,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-9
 
-BASIS_LABELS = ("ee", "el", "le", "ll")
-
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
@@ -27,25 +25,6 @@ BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 
 def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
-
-
-def hermitian_eigensystem(m: np.ndarray, tol: float = 1e-10):
-    """Eigenvalues (descending) and matching eigenvector columns.
-
-    Rejects matrices that are not Hermitian within `tol`, reporting the
-    offending defect norm.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > 8:
-        raise ValueError(f"dimension {m.shape[0]} exceeds the supported maximum 8")
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}")
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
 
 
 @dataclass(frozen=True)
@@ -75,11 +54,6 @@ class DensityMatrix:
         return json.dumps(
             {"re": self.matrix.real.tolist(), "im": self.matrix.imag.tolist()}
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensityMatrix":
-        obj = json.loads(text)
-        return cls(np.array(obj["re"]) + 1j * np.array(obj["im"]))
 
 
 def _as_matrix(rho) -> np.ndarray:

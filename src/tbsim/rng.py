@@ -94,9 +94,6 @@ class CounterRng:
         self.counter += n
         return c
 
-    def u64(self, n: int) -> np.ndarray:
-        return random_u64(self.seed, self._next_counters(n))
-
     def uniform(self, n: int) -> np.ndarray:
         return uniform(self.seed, self._next_counters(n))
 

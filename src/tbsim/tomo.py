@@ -66,30 +66,26 @@ class TomographySetting:
             if p not in PROJECTOR_LABELS:
                 raise ValueError(f"unknown projector label {p!r}")
 
-    def ket(self) -> np.ndarray:
-        return np.kron(_KETS[self.xx_projector], _KETS[self.x_projector])
-
     def operator(self) -> np.ndarray:
         """The projector |ket><ket| (read-only, built once per setting)."""
         return _projector(self.xx_projector, self.x_projector)
 
 
-def tomography_settings() -> list[TomographySetting]:
-    """The canonical ordered schedule of 16 settings."""
-    return [TomographySetting(a, b) for a in PROJECTOR_LABELS for b in PROJECTOR_LABELS]
+# the canonical ordered schedule of 16 settings
+SETTINGS = tuple(TomographySetting(a, b) for a in PROJECTOR_LABELS for b in PROJECTOR_LABELS)
 
 
 def slot_exposure_weights() -> np.ndarray:
     """Relative per-setting exposure of the interferometric analyzers."""
     return np.array(
         [SLOT_WEIGHTS[s.xx_projector] * SLOT_WEIGHTS[s.x_projector]
-         for s in tomography_settings()]
+         for s in SETTINGS]
     )
 
 
 @dataclass
 class CountsTable:
-    """Accumulated coincidence counts, one entry per setting.
+    """Accumulated coincidence counts, one entry per setting of `SETTINGS`.
 
     `exposures` holds relative per-setting Poisson exposure; uniform
     acquisition (the Born-level sampler) leaves it at ones, the
@@ -97,9 +93,7 @@ class CountsTable:
     """
 
     counts: np.ndarray
-    acquisition_cycles: int = 0
     exposures: np.ndarray = field(default_factory=lambda: np.ones(16))
-    settings: list = field(default_factory=tomography_settings)
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
@@ -110,19 +104,17 @@ class CountsTable:
         if e.shape != (16,) or np.any(e <= 0):
             raise ValueError("exposures must be 16 positive weights")
         self.exposures = e
-        if len(self.settings) != 16:
-            raise ValueError("expected exactly 16 settings")
 
     def to_csv(self) -> str:
         return format_table(
             _COUNTS_COLUMNS,
             ((s.xx_projector, s.x_projector, n)
-             for s, n in zip(self.settings, self.counts.tolist())))
+             for s, n in zip(SETTINGS, self.counts.tolist())))
 
     @classmethod
     def from_csv(cls, text: str, exposures=None) -> "CountsTable":
         _, (xx, x, n) = read_table(text, _COUNTS_COLUMNS, "counts", (str, str, int))
-        expected = [(s.xx_projector, s.x_projector) for s in tomography_settings()]
+        expected = [(s.xx_projector, s.x_projector) for s in SETTINGS]
         rows = {}
         for key, count in zip(zip(xx, x), n):
             if key not in expected:
@@ -147,18 +139,17 @@ def simulate_counts(rho, per_setting_cycles: int, efficiency_product: float, see
     """Poisson counts with uniform per-setting exposure."""
     if not (0.0 < efficiency_product <= 1.0):
         raise ValueError("efficiency_product must be in (0, 1]")
-    settings = tomography_settings()
     means = np.array(
         [per_setting_cycles * efficiency_product * expected_probability(rho, s)
-         for s in settings]
+         for s in SETTINGS]
     )
     r = rng.CounterRng(seed, 60)
-    return CountsTable(counts=r.poisson(means), acquisition_cycles=per_setting_cycles)
+    return CountsTable(counts=r.poisson(means))
 
 
 def _design_matrix() -> np.ndarray:
     # row k maps vec(rho) (row-major) to Tr(rho Pi_k)
-    return np.stack([s.operator().T.reshape(16) for s in tomography_settings()])
+    return np.stack([s.operator().T.reshape(16) for s in SETTINGS])
 
 
 _DESIGN = _design_matrix()
@@ -218,32 +209,30 @@ class MleResult:
     converged: bool
 
 
-def poisson_log_likelihood(table: CountsTable, rho, scale: float | None = None) -> float:
+def poisson_log_likelihood(table: CountsTable, rho) -> float:
     """Poisson log L = sum n_k ln mu_k - mu_k with mu_k = s * w_k * p_k.
 
-    When `scale` is omitted the profile-likelihood optimum s* is used.
+    The scale s is its profile-likelihood optimum sum(n) / sum(w p).
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    probs = np.array([expected_probability(m, s) for s in table.settings])
+    probs = np.array([expected_probability(m, s) for s in SETTINGS])
     probs = np.clip(probs, 1e-15, None)
     wp = table.exposures * probs
-    if scale is None:
-        scale = table.counts.sum() / wp.sum()
+    scale = table.counts.sum() / wp.sum()
     mu = np.clip(scale * wp, 1e-300, None)
     return float(np.sum(table.counts * np.log(mu) - mu))
 
 
-def mle_reconstruct(table: CountsTable, init: np.ndarray | None = None) -> MleResult:
+def mle_reconstruct(table: CountsTable) -> MleResult:
     """Maximum-likelihood density matrix via the Cholesky parametrization.
 
     rho = T T^dagger / Tr(T T^dagger) with T lower triangular (16 real
     parameters); the overall scale of T absorbs the Poisson exposure, so
-    the likelihood is optimized jointly in shape and normalization.
+    the likelihood is optimized jointly in shape and normalization, from
+    the projected linear inversion.
     """
-    if init is None:
-        init = linear_reconstruct(table)
-    rho0 = project_to_physical(init)
-    ops = np.stack([s.operator() for s in table.settings])
+    rho0 = project_to_physical(linear_reconstruct(table))
+    ops = np.stack([s.operator() for s in SETTINGS])
     w = table.exposures
     n = table.counts.astype(float)
 
@@ -279,22 +268,19 @@ def mle_reconstruct(table: CountsTable, init: np.ndarray | None = None) -> MleRe
     return MleResult(rho=rho, log_likelihood=ll, converged=bool(res.success))
 
 
-def monte_carlo_errors(table: CountsTable, runs: int = 50, seed=0,
-                       target=BELL_PHI_PLUS) -> tuple[float, float]:
-    """Poisson-resampled reconstruction spread (sample std over `runs`)."""
+def monte_carlo_errors(table: CountsTable, runs: int = 50, seed=0) -> tuple[float, float]:
+    """Poisson-resampled spread (sample std over `runs`) of the concurrence
+    and of the fidelity to (|ee>+|ll>)/sqrt(2)."""
     if runs < 2:
         raise ValueError("need at least 2 Monte Carlo runs")
     cs, fs = [], []
     for k in range(runs):
         r = rng.CounterRng(seed, 70 + k)
-        resampled = CountsTable(
-            counts=r.poisson(table.counts.astype(float)),
-            acquisition_cycles=table.acquisition_cycles,
-            exposures=table.exposures,
-        )
+        resampled = CountsTable(counts=r.poisson(table.counts.astype(float)),
+                                exposures=table.exposures)
         rho = mle_reconstruct(resampled).rho
         cs.append(concurrence(rho))
-        fs.append(fidelity_to_state(rho, target))
+        fs.append(fidelity_to_state(rho, BELL_PHI_PLUS))
     return float(np.std(cs, ddof=1)), float(np.std(fs, ddof=1))
 
 
@@ -347,7 +333,7 @@ def simulate_tomography_via_events(emitter, state, detectors, cycles_per_setting
     the projectors.  Exposures carry the slot acceptance weights.
     """
     counts = np.empty(16, dtype=np.int64)
-    for k, s in enumerate(tomography_settings()):
+    for k, s in enumerate(SETTINGS):
         an_xx = optics.Interferometer(delay=delay, phase=_ANALYZER_PHASE[s.xx_projector])
         an_x = optics.Interferometer(delay=delay, phase=_ANALYZER_PHASE[s.x_projector])
         events = optics.simulate_timebin_run(
@@ -356,5 +342,4 @@ def simulate_tomography_via_events(emitter, state, detectors, cycles_per_setting
         )
         slots = optics.timebin_slot_counts(events, emitter.rep_period, delay, window)
         counts[k] = slots[_ANALYZER_SLOT[s.xx_projector], _ANALYZER_SLOT[s.x_projector]]
-    return CountsTable(counts=counts, acquisition_cycles=cycles_per_setting,
-                       exposures=slot_exposure_weights())
+    return CountsTable(counts=counts, exposures=slot_exposure_weights())

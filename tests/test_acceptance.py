@@ -61,14 +61,13 @@ def test_criterion_1_entanglement_closure():
 # 2 -- tomography exactness ------------------------------------------------
 
 def test_criterion_2_tomography_exactness():
-    settings = tomo.tomography_settings()
+    settings = tomo.SETTINGS
     worst = 0.0
     for i in range(100):
         rho = random_physical_rho(1000 + i)
         probs = np.array([tomo.expected_probability(rho, s) for s in settings])
         table = tomo.CountsTable(
             counts=np.rint(probs * 1e12).astype(np.int64),
-            acquisition_cycles=1,
             exposures=np.full(16, 1e12))
         rec = tomo.linear_reconstruct(table)
         worst = max(worst, float(np.max(np.abs(rec - rho))))

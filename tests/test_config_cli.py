@@ -130,6 +130,19 @@ def _flat_hist(shift=0.0):
     return "# bin_width_ps=10.0\n# origin_ps=-205.0\ndelay_ps,counts\n" + rows
 
 
+def _decay_hist():
+    # a 300 ps exponential decay in 4 ps bins from 0, 73k counts: fits with --jitter-fwhm 0
+    rows = "".join(f"{2.0 + 4.0 * i!r},{round(1000 * np.exp(-4.0 * i / 300.0))}\n"
+                   for i in range(750))
+    return "# bin_width_ps=4.0\n# origin_ps=0.0\ndelay_ps,counts\n" + rows
+
+
+def _rabi_scan():
+    rows = "".join(f"{s!r},{round(1000 * np.sin(np.pi * s / 2) ** 2)}\n"
+                   for s in np.round(np.linspace(0.1, 2.5, 25), 6).tolist())
+    return "sqrt_power,counts\n" + rows
+
+
 _BUDGET = {"count_rate": "61000", "rep_rate": "80e6", "blinking": "0.625",
            "p_emit": "0.65", "eta_detector": "0.25", "eta_fiber": "0.4",
            "eta_setup": "0.12"}
@@ -158,6 +171,16 @@ _MALFORMED = {
                                 ["--rep-period", "40"], 3),
     "rabi-nan": ("analyze rabi", "sqrt_power,counts\n0.1,5\nnan,9\n0.3,20\n", [], 3),
     "rabi-one-row": ("analyze rabi", "sqrt_power,counts\n0.5,40\n", [], 3),
+    "rabi-zero-rate-normalization": ("analyze rabi", _rabi_scan(),
+                                     ["--rate-normalization", "0"], 3, "rate-normalization"),
+    "rabi-nan-rate-normalization": ("analyze rabi", _rabi_scan(),
+                                    ["--rate-normalization", "nan"], 3, "rate-normalization"),
+    "rabi-inf-rate-normalization": ("analyze rabi", _rabi_scan(),
+                                    ["--rate-normalization", "inf"], 3, "rate-normalization"),
+    "lifetime-negative-jitter": ("analyze lifetime", _decay_hist(),
+                                 ["--jitter-fwhm", "-16"], 3, "jitter-fwhm"),
+    "lifetime-nan-jitter": ("analyze lifetime", _decay_hist(),
+                            ["--jitter-fwhm", "nan"], 3, "jitter-fwhm"),
     "budget-unparsable-value": ("analyze budget", _budget(count_rate="abc"), [], 3),
     "budget-out-of-range": ("analyze budget", _budget(blinking="1.5"), [], 3),
     "hom-visibility-above-1": ("simulate hom", "hom.mutual_visibility = 1.5\n", [], 2),
@@ -204,6 +227,14 @@ def test_malformed_input_exit_code_and_one_line(tmp_path, capsys, case):
     prefix = "data error: " if code == 3 else "config error: "
     assert err.startswith(prefix) and err.count("\n") == 1, err
     assert all(text in err for text in match), err
+
+
+def test_analyze_lifetime_zero_jitter_is_ideal_detector(tmp_path):
+    path = write(tmp_path, "lt.csv", _decay_hist())
+    ana = str(tmp_path / "a")
+    assert main(["analyze", "lifetime", path, "--jitter-fwhm", "0", "--out", ana]) == 0
+    res = json.load(open(os.path.join(ana, "analyze_lifetime.json")))
+    assert res["tau_ps"] == pytest.approx(300.0, rel=0.01)
 
 
 def test_missing_input_exits_3(tmp_path):
@@ -315,3 +346,35 @@ def test_commands_without_a_fit_never_import_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+_TRACER_SCRIPT = """
+import numpy as np
+from tracing import Tracer
+from tbsim import optics
+from tbsim.cascade import EmitterParams
+
+tracer = Tracer()
+tracer.install()
+dead = optics.DetectorModel(efficiency=1.0, dark_count_rate=0.0, jitter_sigma=0.0,
+                            dead_time=100.0)
+ev = optics.simulate_autocorrelation(EmitterParams(), "xx", dead, 200, 1)
+optics.histogram_events(ev, 0, 1, bin_width=500.0, max_delay=5000.0)
+print(sorted(tracer.counts))
+"""
+
+
+def test_benchmark_tracer_wraps_existing_names():
+    # perfbench/tracing.py wraps tbsim functions and reads their arguments by
+    # name; a rename or deletion in tbsim must fail here, not only in a traced run
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "perfbench")])}
+    proc = subprocess.run([sys.executable, "-c", _TRACER_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(sorted([
+        "cascade.sample_pair_emission.cycles", "kernels.dead_time_mask.events",
+        "kernels.pair_delay_counts.pairs", "kernels.telegraph.steps",
+        "optics.detect.clicks_out", "optics.detect.photons_in",
+        "optics.simulate.cycles", "rng.variates"]))

@@ -31,6 +31,16 @@ def test_g2_zero_on_synthetic_comb():
     assert 0.0 < err < 0.01
 
 
+def test_g2_zero_error_exact_beyond_int64():
+    # central^2 * sum(far) = 1e12 * 2e9 > 2**63; the error stays exact
+    h = comb_histogram(center_area=10**6, side_area=10**8, k_max=20, bin_width=500.0)
+    g2, err = fitting.g2_zero(h, REP)
+    n_far = 20  # |k| = 11..20 on both sides
+    want = np.sqrt(1e6 / 1e8**2 + 1e12 * (n_far * 1e8) / (n_far**2 * 1e8**4))
+    assert g2 == 0.01
+    assert err == pytest.approx(want, rel=1e-12)
+
+
 def test_g2_zero_requires_span():
     h = comb_histogram(10, 100, k_max=3)
     with pytest.raises(ValueError):
@@ -70,12 +80,6 @@ def test_hom_five_peak_synthetic_exact():
         assert peaks.visibility == pytest.approx(vm, abs=2e-4)
 
 
-def test_hom_five_peak_rejects_overlapping_windows():
-    h = hom_comb(3000.0, {0: 10, 1: 10, -1: 10, 2: 10, -2: 10})
-    with pytest.raises(ValueError):
-        fitting.hom_five_peak(h, 3000.0, window=2000.0)
-
-
 def test_hom_delay_scan_recovers_dip():
     offsets = np.linspace(-4000, 4000, 33)
     rates = 500.0 * (1.0 - 0.508 * np.exp(-np.abs(offsets) / 600.0))
@@ -108,6 +112,15 @@ def test_lifetime_fit_within_one_percent(tau):
     assert fit.value("tau") == pytest.approx(tau, rel=0.01)
     # quoted sigma on the same scale as a few-ps uncertainty
     assert 0.2 < fit.sigma("tau") < 10.0
+
+
+def test_lifetime_fit_ideal_detector():
+    # zero jitter: the empty bins before t0 have log-density -inf
+    h = synthetic_lifetime_hist(300.0, 0.0, 100000, seed=300)
+    fit = fitting.fit_lifetime(h, 0.0)
+    assert fit.converged
+    assert fit.value("tau") == pytest.approx(300.0, rel=0.01)
+    assert np.isfinite(fit.sigma("tau"))
 
 
 def test_lifetime_fit_requires_counts():

@@ -13,7 +13,7 @@ from tbsim.optics import (CoincidenceHistogram, DetectorModel, Interferometer,
                           PhotonEvents, TimebinStateModel,
                           coincidence_probability, histogram_events,
                           hom_distinguishable_fixture, ideal_timebin_density,
-                          merge_histograms, middle_slot_fraction,
+                          middle_slot_fraction,
                           simulate_autocorrelation, simulate_poissonian_source,
                           simulate_timebin_run, symmetric_bins,
                           timebin_slot_counts)
@@ -104,12 +104,41 @@ def test_symmetric_bins_center_zero():
     assert centers[0] <= -1000.0 and centers[-1] >= 1000.0
 
 
-def test_merge_histograms():
-    h1 = CoincidenceHistogram(1.0, 0.0, np.array([1, 2, 3]))
-    h2 = CoincidenceHistogram(1.0, 0.0, np.array([4, 5, 6]))
-    assert merge_histograms(h1, h2).counts.tolist() == [5, 7, 9]
-    with pytest.raises(ValueError):
-        merge_histograms(h1, CoincidenceHistogram(2.0, 0.0, np.array([1, 2, 3])))
+def window_area(hist, center, half_width):
+    """Reference peak area: the counts of every bin whose center is within +-half_width."""
+    return int(hist.counts[np.abs(hist.centers - center) <= half_width].sum())
+
+
+@st.composite
+def histograms_and_peaks(draw):
+    n = draw(st.integers(1, 60))
+    width = draw(st.sampled_from([1.0, 0.1, 0.3, 500.0, 12500.0 / 25, 7.0 / 3.0]))
+    width *= draw(st.sampled_from([1.0, 1.0 + 2**-40, 1.0 - 2**-40]))
+    origin = draw(st.one_of(st.sampled_from([-(n // 2 + 0.5) * width, 0.0, -0.1]),
+                            st.floats(-1e5, 1e5)))
+    counts = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+    hist = CoincidenceHistogram(width, origin, np.array(counts, dtype=np.int64))
+    centers, edges = hist.centers, hist.origin + np.arange(n + 1) * width
+    # peak centres on bin edges, on bin centres, anywhere, and off the histogram
+    pick = st.one_of(st.sampled_from(centers.tolist()), st.sampled_from(edges.tolist()),
+                     st.floats(origin - 3 * n * width, origin + 4 * n * width))
+    peaks = draw(st.lists(pick, min_size=1, max_size=8))
+    # half-widths that reach a bin centre exactly, or a whole number of bins, or anything
+    reach = st.builds(lambda p, c: abs(c - p), st.sampled_from(peaks),
+                      st.sampled_from(centers.tolist()))
+    half_width = draw(st.one_of(reach, st.sampled_from([0.0, width / 2, 2 * width, 7 * width]),
+                                st.floats(0.0, 2 * n * width)))
+    return hist, peaks, half_width
+
+
+@given(histograms_and_peaks())
+@settings(max_examples=500, deadline=None)
+@example((CoincidenceHistogram(0.1, 0.0, np.arange(10)), [0.30000000000000004, 0.35], 0.1))
+def test_peak_areas_match_bin_center_predicate(case):
+    hist, peaks, half_width = case
+    got = hist.peak_areas(peaks, half_width)
+    assert got.dtype == np.int64
+    assert got.tolist() == [window_area(hist, p, half_width) for p in peaks]
 
 
 def test_histogram_events_vs_brute_force():
@@ -120,8 +149,7 @@ def test_histogram_events_vs_brute_force():
     stops = [40.0, 130.0, 900.0]
     want = sum(1 for a in starts for b in stops if abs(b - a) <= 205.0)
     assert h.total() == want
-    assert h.window_area(40.0, 5.0) == 1  # 40 - 0
-    assert h.window_area(-60.0, 5.0) == 1  # 40 - 100
+    assert h.peak_areas([40.0, -60.0], 5.0).tolist() == [1, 1]  # 40 - 0, 40 - 100
 
 
 # --- detection chain ---------------------------------------------------------
@@ -227,8 +255,7 @@ def test_autocorrelation_single_emitter_suppressed_center():
     em = EmitterParams(two_pair_prob=0.0)
     ev = simulate_autocorrelation(em, "xx", DetectorModel.ideal(), 100000, 19)
     h = histogram_events(ev, 0, 1, bin_width=500.0, max_delay=6 * em.rep_period)
-    center = h.window_area(0.0, em.rep_period / 4)
-    side = h.window_area(em.rep_period, em.rep_period / 4)
+    center, side = h.peak_areas([0.0, em.rep_period], em.rep_period / 4)
     assert side > 100
     assert center < 0.02 * side
 
@@ -276,9 +303,7 @@ def test_poissonian_source_flat_g2():
     ev = simulate_poissonian_source(0.2, 300.0, 12500.0,
                                     DetectorModel.ideal(), 150000, 23)
     h = histogram_events(ev, 0, 1, bin_width=500.0, max_delay=6 * 12500.0)
-    center = h.window_area(0.0, 12500.0 / 4)
-    sides = [h.window_area(k * 12500.0, 12500.0 / 4)
-             for k in (-3, -2, -1, 1, 2, 3)]
+    center, *sides = h.peak_areas(np.array([0, -3, -2, -1, 1, 2, 3]) * 12500.0, 12500.0 / 4)
     assert center == pytest.approx(np.mean(sides), rel=0.1)
     with pytest.raises(ValueError, match="mean_photons"):
         simulate_poissonian_source(-0.2, 300.0, 12500.0, DetectorModel.ideal(), 10, 23)
