@@ -226,6 +226,7 @@ def _analyze_tomo(args, run: _Run) -> dict:
         "fidelity_phase_optimized": result.fidelity_phase_optimized,
         "purity": purity(result.rho),
         "log_likelihood": result.log_likelihood,
+        "mc_converged": result.mc_converged,
         "rho": result.rho.to_json(),
     }
 

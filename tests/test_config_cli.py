@@ -252,6 +252,7 @@ def test_analyze_tomo_closure(tmp_path):
     res = json.load(open(os.path.join(ana, "analyze_tomo.json")))
     assert res["concurrence"] == pytest.approx(0.70, abs=0.08)
     assert res["fidelity"] == pytest.approx(0.85, abs=0.04)
+    assert res["mc_converged"] == 10
     assert res["inputs"][0]["sha256"]
 
 
@@ -325,7 +326,8 @@ except SystemExit:
     pass
 for what in ("tomography", "hom", "autocorr", "lifetime", "rabi"):
     assert main(["simulate", what, "--config", cfg, "--out", out]) == 0, what
-for what, path in (("g2", os.path.join(out, "autocorr_hist.csv")),
+for what, path in (("tomo", os.path.join(out, "tomography_counts.csv")),
+                   ("g2", os.path.join(out, "autocorr_hist.csv")),
                    ("hom", os.path.join(out, "hom_hist.csv")), ("budget", budget)):
     assert main(["analyze", what, path, "--out", out]) == 0, what
 for what in ("spectrum", "purcell", "efficiency"):

@@ -1,6 +1,8 @@
 """Counter-based RNG: bit-exactness against an independent oracle,
 distributional checks, and determinism properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -103,6 +105,14 @@ def test_poisson_zero_mean():
         r.poisson(np.array([1.0, np.nan]))
 
 
+def test_poisson_draw_beyond_int64_raises():
+    r = rng.CounterRng(1, 2)
+    assert r.poisson(np.array([1e18]))[0] == 1000000000295472768
+    for mu in (1e19, 1e300, np.inf):
+        with pytest.raises(OverflowError):
+            r.poisson(np.array([mu]))
+
+
 def poisson_one_oracle(mu, key):
     """One Poisson draw at a time from the 64 uniforms of its private key."""
     if mu <= 0.0:
@@ -134,6 +144,35 @@ def test_property_poisson_matches_per_draw_oracle(seed, stream, means):
     r = rng.CounterRng(seed, stream)
     keys = rng.random_u64(r.seed, np.arange(len(means), dtype=np.uint64))
     want = [poisson_one_oracle(mu, key) for mu, key in zip(np.array(means), keys)]
+    assert r.poisson(means).tolist() == want
+
+
+def ptrs_first_pair_fate(mu, us):
+    """Which PTRS test decides the first candidate pair (us[0], us[1])."""
+    b = 0.931 + 2.53 * math.sqrt(mu)
+    a = -0.059 + 0.02483 * b
+    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+    u, v = us[0] - 0.5, us[1]
+    s = 0.5 - abs(u)
+    k = math.floor((2.0 * a / s + b) * u + mu + 0.43)
+    if s >= 0.07 and v <= 0.9277 - 3.6224 / (b - 2.0):
+        return "squeeze"
+    if k < 0 or (s < 0.013 and v > s):
+        return "rejected"
+    lhs = math.log(v * inv_alpha / (a / (s * s) + b))
+    return "full" if lhs <= k * math.log(mu) - mu - math.lgamma(k + 1.0) else "full-rejected"
+
+
+def test_poisson_full_test_acceptances_match_per_draw_oracle():
+    # near mu = 10 the squeeze test takes only about a third of the pairs, so
+    # many draws are decided by the full test, some after a squeeze-able pair
+    r = rng.CounterRng(31, stream=5)
+    means = np.linspace(10.0, 14.0, 400)
+    keys = rng.random_u64(r.seed, np.arange(len(means), dtype=np.uint64))
+    us = rng.uniform(keys[:, None], np.arange(rng._POISSON_BUDGET, dtype=np.uint64))
+    fates = [ptrs_first_pair_fate(mu, u) for mu, u in zip(means, us)]
+    assert fates.count("full") > 50 and fates.count("full-rejected") > 50
+    want = [poisson_one_oracle(mu, key) for mu, key in zip(means, keys)]
     assert r.poisson(means).tolist() == want
 
 

@@ -179,3 +179,95 @@ def test_event_level_tomography_closure():
     assert concurrence(res.rho) == pytest.approx(1.0, abs=0.05)
     assert fidelity_to_state(res.rho, tomo.BELL_PHI_PLUS) == pytest.approx(
         1.0, abs=0.03)
+
+
+# --- the batched MLE against the L-BFGS-B fit it replaced ----------------------------
+
+_LOWER_ROWS, _LOWER_COLS = np.tril_indices(4, -1)
+
+
+def lbfgs_log_likelihood(table):
+    """Log-likelihood reached by the former per-table fit: rho = T T^dag / Tr
+    with T lower triangular (16 real parameters), SciPy L-BFGS-B on the
+    extended Poisson NLL, from the scaled projected linear inversion."""
+    from scipy.optimize import minimize
+
+    def t_from_params(t):
+        m = np.zeros((4, 4), dtype=complex)
+        m[np.diag_indices(4)] = t[:4]
+        m[_LOWER_ROWS, _LOWER_COLS] = t[4::2] + 1j * t[5::2]
+        return m
+
+    rho0 = tomo.project_to_physical(tomo.linear_reconstruct(table))
+    ops = np.stack([s.operator() for s in tomo.SETTINGS])
+    w, n = table.exposures, table.counts.astype(float)
+    scale0 = n.sum() / np.sum(w * np.real(np.einsum("kij,ji->k", ops, rho0)))
+    c0 = np.linalg.cholesky(scale0 * (rho0 + 1e-8 * np.eye(4)) / (1.0 + 4e-8))
+    t0 = np.concatenate([np.diag(c0).real, np.column_stack(
+        [c0[_LOWER_ROWS, _LOWER_COLS].real, c0[_LOWER_ROWS, _LOWER_COLS].imag]).ravel()])
+
+    def objective(t):
+        tm = t_from_params(t)
+        h = tm @ tm.conj().T
+        mu = w * np.clip(np.real(np.einsum("kij,ji->k", ops, h)), 1e-12, None)
+        gt = tm.conj().T @ np.einsum("k,kij->ij", w * (1.0 - n / mu), ops)
+        upper = gt[_LOWER_COLS, _LOWER_ROWS]
+        grad = np.concatenate([2.0 * np.real(np.diag(gt)), np.column_stack(
+            [2.0 * upper.real, -2.0 * upper.imag]).ravel()])
+        return float(np.sum(mu - n * np.log(mu))), grad
+
+    res = minimize(objective, t0, jac=True, method="L-BFGS-B",
+                   options={"maxiter": 10_000, "ftol": 1e-10, "maxfun": 100_000})
+    tm = t_from_params(res.x if res.fun <= objective(t0)[0] else t0)
+    h = tm @ tm.conj().T
+    return tomo.poisson_log_likelihood(table, h / h.trace().real)
+
+
+def _oracle_cases():
+    """(name, table, seed) of the benchmark's five states at about 1e2 and
+    1e6 counts per setting, a pure Bell state, the maximally mixed state and
+    a table with five empty settings."""
+    states = ((0.5, np.pi / 2.0), (0.6, np.pi), (0.7, 0.0), (0.8, 0.75 * np.pi),
+              (0.9, np.pi / 4.0))
+    levels = ((50_000, 0.00625), (4_000_000, 1.0))
+    for i, (v, phi) in enumerate(states):
+        rho = ideal_timebin_density(TimebinStateModel(v, phi))
+        for j, (cycles, eff) in enumerate(levels):
+            yield f"V={v} {cycles}", tomo.simulate_counts(rho, cycles, eff, 500 + 2 * i + j), j
+    bell = np.outer(tomo.BELL_PHI_PLUS, tomo.BELL_PHI_PLUS).astype(complex)
+    yield "Bell", tomo.simulate_counts(bell, 200_000, 0.01, 11), 1
+    yield "mixed", tomo.simulate_counts(np.eye(4) / 4.0, 200_000, 0.01, 12), 2
+    counts = tomo.simulate_counts(random_physical_rho(7), 20_000, 0.05, 13).counts
+    counts[[1, 6, 9, 11, 14]] = 0
+    yield "empty settings", tomo.CountsTable(counts=counts), 3
+
+
+def test_batched_mle_never_below_lbfgs(monkeypatch):
+    fits = []
+    solve = tomo.minimize
+
+    def spy(*args):
+        res = solve(*args)
+        fits.append(res)
+        return res
+
+    monkeypatch.setattr(tomo, "minimize", spy)
+    for name, table, seed in _oracle_cases():
+        own = tomo.mle_reconstruct(table).log_likelihood
+        assert own >= lbfgs_log_likelihood(table) - 1e-6, name
+        counts = tomo._resample(table, 50, seed)
+        rhos, _ = tomo._fit(counts, np.broadcast_to(table.exposures, counts.shape))
+        for k, rho in enumerate(rhos):
+            resampled = tomo.CountsTable(counts=counts[k], exposures=table.exposures)
+            assert (tomo.poisson_log_likelihood(resampled, rho)
+                    >= lbfgs_log_likelihood(resampled) - 1e-6), (name, k)
+    assert all(res.converged.all() and res.nit.max() <= 100 for res in fits)
+
+
+def test_observed_rho_does_not_depend_on_mc_runs():
+    rho = ideal_timebin_density(TimebinStateModel(visibility=0.8, pump_phase=1.0))
+    table = tomo.simulate_counts(rho, 50_000, 0.00625, seed=21)
+    few = tomo.reconstruct(table, mc_runs=2, seed=3)
+    many = tomo.reconstruct(table, mc_runs=50, seed=3)
+    assert np.array_equal(few.rho.matrix, many.rho.matrix)
+    assert (few.mc_converged, many.mc_converged) == (2, 50)
