@@ -275,8 +275,8 @@ class EfficiencyBudget:
     eta_setup: float
 
     def __post_init__(self):
-        if self.count_rate <= 0 or self.rep_rate <= 0:
-            raise ValueError("rates must be positive")
+        if not (0 < self.count_rate < np.inf and 0 < self.rep_rate < np.inf):
+            raise ValueError("rates must be positive and finite")
         for name in ("blinking", "p_emit", "eta_detector", "eta_fiber", "eta_setup"):
             v = getattr(self, name)
             if not (0.0 < v <= 1.0):

@@ -257,7 +257,7 @@ def _analyze_lifetime(args, run: _Run) -> dict:
         raise DataError(f"--jitter-fwhm {args.jitter_fwhm} ps must be a non-negative "
                         "finite number")
     hist = optics.CoincidenceHistogram.from_csv(_read_text(args.input))
-    fit = fitting.fit_lifetime(hist, args.jitter_fwhm / 2.3548200450309493)
+    fit = fitting.fit_lifetime(hist, args.jitter_fwhm / optics.FWHM_PER_SIGMA)
     if not fit.converged:
         raise ConvergenceError("lifetime fit did not converge")
     return {"tau_ps": fit.value("tau"), "tau_err_ps": fit.sigma("tau"),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .cascade import EmitterParams
 from .cavity import N_ALAS, N_GAAS, DefectModel, LayerStack, make_cavity_stack
-from .optics import DetectorModel, Interferometer, TimebinStateModel
+from .optics import FWHM_PER_SIGMA, DetectorModel, Interferometer, TimebinStateModel
 
 
 class ConfigError(ValueError):
@@ -135,7 +135,7 @@ class RunConfig:
                 dark_count_rate=_get(
                     mapping, "detector.dark_count_rate_hz", float, 100.0),
                 jitter_sigma=_get(mapping, "detector.jitter_sigma_ps", float,
-                                  16.0 / 2.3548200450309493),
+                                  16.0 / FWHM_PER_SIGMA),
                 dead_time=_get(mapping, "detector.dead_time_ps", float, 0.0),
             )
             stack = make_cavity_stack(
@@ -166,6 +166,13 @@ class RunConfig:
         if not 0.0 <= hom_visibility <= 1.0:
             raise ConfigError("hom.mutual_visibility",
                               f"must be in [0, 1], got {hom_visibility}")
+        lifetime_tau = _get(mapping, "lifetime.tau_ps", float, 300.0)
+        if not 0.0 < lifetime_tau < float("inf"):
+            raise ConfigError("lifetime.tau_ps",
+                              f"must be positive and finite, got {lifetime_tau}")
+        rabi_damping = _get(mapping, "rabi.damping", float, 0.65)
+        if not 0.0 < rabi_damping <= 1.0:
+            raise ConfigError("rabi.damping", f"must be in (0, 1], got {rabi_damping}")
 
         return cls(
             seed=seed,
@@ -181,9 +188,9 @@ class RunConfig:
             autocorr_photon=photon,
             autocorr_cycles=_count(mapping, "autocorr.cycles", 300000),
             autocorr_g2_target=g2_target,
-            lifetime_tau=_get(mapping, "lifetime.tau_ps", float, 300.0),
+            lifetime_tau=lifetime_tau,
             lifetime_counts=_count(mapping, "lifetime.counts", 100000),
-            rabi_damping=_get(mapping, "rabi.damping", float, 0.65),
+            rabi_damping=rabi_damping,
             rabi_cycles_per_point=_count(mapping, "rabi.cycles_per_point",
                                          100000),
             stack=stack,

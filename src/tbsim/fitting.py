@@ -7,11 +7,12 @@ Rabi-scan fits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import CoincidenceHistogram, hom_distinguishable_fixture
+from .optics import FWHM_PER_SIGMA, CoincidenceHistogram, hom_distinguishable_fixture
 
 
 @dataclass
@@ -19,7 +20,6 @@ class FitResult:
     """Fitted parameters with 1-sigma uncertainties."""
 
     params: dict  # name -> (value, sigma)
-    reduced_chi_square: float = float("nan")
     converged: bool = True
 
     def value(self, name: str) -> float:
@@ -124,154 +124,153 @@ def hom_five_peak(hist: CoincidenceHistogram, delay: float) -> HomPeaks:
     )
 
 
+_GRID = 65  # trial values per bracket and refinement step of `_profiled_lstsq`
+_STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
+_D1, _D2 = np.array([-0.5, 0.0, 0.5]), np.array([1.0, -2.0, 1.0])
+
+
+def _profiled_lstsq(x, y, basis, lo, hi):
+    """Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)) for
+    y ~ basis(x, q) @ c: `lstsq` gives c at each q, and the bracket shrinking of
+    `cavity.cavity_resonance_and_q` on a log grid over [lo, hi] minimises the RSS. Returns
+    (c..., q), curve_fit's covariance RSS / (n - p) (J^T J)^-1, and False for q at an edge.
+    """
+    def solve(q):
+        b = basis(x, q)
+        c = np.linalg.lstsq(b, y, rcond=None)[0]
+        return c, np.sum((y - b @ c) ** 2)
+
+    grid, inside = np.geomspace(lo, hi, _GRID), True
+    while grid[-1] / grid[0] > 1.0 + 1e-12:
+        k = int(np.argmin([solve(q)[1] for q in grid]))
+        inside = inside and grid[k] not in (lo, hi)
+        grid = np.geomspace(grid[max(k - 1, 0)], grid[min(k + 1, _GRID - 1)], _GRID)
+    q, h = grid[_GRID // 2], 1e-6 * grid[_GRID // 2]
+    c, rss = solve(q)
+    jac = np.column_stack([basis(x, q), (basis(x, q + h) - basis(x, q - h)) @ c / (2.0 * h)])
+    return np.append(c, q), rss / (len(y) - len(c) - 1) * np.linalg.inv(jac.T @ jac), inside
+
+
 def hom_delay_scan(offsets, rates) -> FitResult:
-    """Fit the two-sided-exponential HOM dip R0 (1 - V exp(-|d|/tau_c))."""
+    """Fit the two-sided-exponential HOM dip R0 (1 - V exp(-|d|/tau_c)), linear in R0 and R0 V."""
     offsets = np.asarray(offsets, dtype=float)
     rates = np.asarray(rates, dtype=float)
     if len(offsets) < 7:
         raise ValueError("need at least 7 scan points across the dip")
-
-    def model(d, r0, v, tau_c):
-        return r0 * (1.0 - v * np.exp(-np.abs(d) / tau_c))
-
-    r0_guess = float(np.max(rates))
-    v_guess = float(np.clip(1.0 - np.min(rates) / max(r0_guess, 1e-30), 0.0, 1.0))
     tau_guess = max((offsets.max() - offsets.min()) / 6.0, 1.0)
-    from scipy.optimize import curve_fit
-
-    try:
-        popt, pcov = curve_fit(
-            model, offsets, rates, p0=[r0_guess, max(v_guess, 1e-3), tau_guess],
-            maxfev=20000,
-        )
-    except RuntimeError:
-        return FitResult(params={"visibility": (np.nan, np.nan),
-                                 "tau_c": (np.nan, np.nan)}, converged=False)
-    perr = np.sqrt(np.diag(pcov))
-    resid = rates - model(offsets, *popt)
-    dof = max(len(offsets) - 3, 1)
-    red_chi2 = float(np.sum(resid**2 / np.clip(np.abs(model(offsets, *popt)), 1.0, None)) / dof)
-    return FitResult(
-        params={"rate0": (popt[0], perr[0]),
-                "visibility": (popt[1], perr[1]),
-                "tau_c": (popt[2], perr[2])},
-        reduced_chi_square=red_chi2,
-    )
+    (r0, r0_v, tau_c), cov, converged = _profiled_lstsq(
+        offsets, rates, lambda d, t: np.column_stack([np.ones_like(d), -np.exp(-np.abs(d) / t)]),
+        tau_guess / 10.0, tau_guess * 10.0)
+    grad_v = np.array([-r0_v / r0**2, 1.0 / r0, 0.0])
+    return FitResult(params={"rate0": (r0, np.sqrt(cov[0, 0])),
+                             "visibility": (r0_v / r0, np.sqrt(grad_v @ cov @ grad_v)),
+                             "tau_c": (tau_c, np.sqrt(cov[2, 2]))}, converged=converged)
 
 
-def _emg_logpdf(t, tau, t0, sigma):
-    """Log density of an exponential of mean `tau` convolved with a Gaussian.
+def _log_bin_probs(edges, tau, t0, sigma):
+    """log(F(b_i+1) - F(b_i)) over edges b, F the CDF of t0 + Exp(tau) + N(0, sigma^2).
 
-    For sigma > 0 this is `scipy.stats.exponnorm.logpdf(t, tau / sigma,
-    loc=t0, scale=sigma)` written out term by term, bit-identical to it,
-    without importing `scipy.stats`.
+    F(b) = Phi(z) (1 - e^u), u = s^2/2 - x/tau + log(Phi(z - s) / Phi(z)), x = b - t0,
+    z = x/sigma, s = sigma/tau, in logs so that bins far before t0 stay finite; without
+    jitter F(b) = 1 - exp(-x/tau) for x > 0. tau and t0 broadcast against b.
     """
-    if sigma <= 0:
-        out = np.full_like(t, -np.inf)
-        ok = t >= t0
-        out[ok] = -np.log(tau) - (t[ok] - t0) / tau
-        return out
-    from scipy.special import log_ndtr
+    def log_ndtr(z):  # log Phi(z); below z = -30, where erfc nears underflow, by its series
+        lower = np.frompyfunc(math.erfc, 1, 1)(np.abs(z) / np.sqrt(2.0)).astype(float) / 2.0
+        r = 1.0 / np.minimum(z, -30.0) ** 2
+        series = 1 + r * (-1 + r * (3 + r * (-15 + r * (105 + r * (-945 + r * 10395)))))
+        return np.where(z > 0, np.log1p(-lower), np.where(  # lower = Phi(-|z|) may underflow
+            z < -30.0, np.log(series * np.sqrt(r / (2.0 * np.pi))) - 0.5 / r, np.log(lower)))
 
-    k = tau / sigma
-    inv_k = 1.0 / k
-    z = (t - t0) / sigma
-    return inv_k * (0.5 * inv_k - z) + log_ndtr(z - inv_k) - np.log(k) - np.log(sigma)
+    x = edges - t0
+    # log 0 = -inf; min, fmin: rounding far below t0 can lift u and log-differences above 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if sigma == 0:
+            log_f = np.log(-np.expm1(-np.maximum(x, 0.0) / tau))
+        else:
+            z, s = x / sigma, sigma / tau
+            log_phi = log_ndtr(z)
+            u = s * s / 2.0 - x / tau + log_ndtr(z - s) - log_phi
+            log_f = log_phi + np.log(-np.expm1(np.minimum(u, 0.0)))
+        return log_f[..., 1:] + np.log(-np.expm1(np.fmin(log_f[..., :-1] - log_f[..., 1:], 0.0)))
 
 
 def fit_lifetime(hist: CoincidenceHistogram, jitter_sigma: float) -> FitResult:
-    """Binned Poisson MLE of an exponential decay with Gaussian response.
+    """Binned maximum-likelihood fit of an exponential decay with Gaussian response.
 
-    Also runs a tail-only least-squares cross-check starting one response
-    FWHM after the histogram peak; the two estimates must agree within
-    2 sigma plus a 1% floor for the fit to be reported as converged.
+    Damped Newton steps in (tau, t0) minimise the multinomial NLL of `_log_bin_probs`
+    (Baker & Cousins, NIM 221, 437 (1984)); sigma_tau is marginal, from the inverse observed
+    information; a log-linear fit to the tail beyond peak + FWHM must agree within 2 sigma + 1%.
     """
     counts = hist.counts.astype(float)
     centers = hist.centers
     total = counts.sum()
     if total < 1e4:
         raise ValueError(f"insufficient counts for lifetime fit: {total:.0f} < 1e4")
+    w, filled = hist.bin_width, counts > 0
+    edges = hist.origin + w * np.arange(len(counts) + 1)
+    # without jitter the NLL falls as t0 nears the first filled bin and is infinite past it
+    t0_lo, t0_hi = edges[np.argmax(filled):][:2] if jitter_sigma == 0 else (-np.inf, np.inf)
 
-    mean_t = float(np.sum(centers * counts) / total)
+    def nll(theta):  # theta: rows of (tau, t0); normalised to the histogram range
+        log_p = _log_bin_probs(edges, theta[:, :1], theta[:, 1:], jitter_sigma)
+        return total * np.logaddexp.reduce(log_p, axis=1) - log_p[:, filled] @ counts[filled]
+
+    def derivatives(theta):  # NLL, gradient and Hessian by central differences on _STENCIL
+        h = np.array([1e-3 * theta[0], min(1e-3 * max(jitter_sigma, w), (t0_hi - theta[1]) / 2)])
+        f = nll(theta + h * _STENCIL).reshape(3, 3)
+        cross = _D1 @ f @ _D1
+        hess = np.array([[_D2 @ f[:, 1], cross], [cross, f[1] @ _D2]]) / np.outer(h, h)
+        return f[1, 1], np.array([_D1 @ f[:, 1], f[1] @ _D1]) / h, hess
+
     peak_t = float(centers[np.argmax(counts)])
-    tau0 = max(mean_t - peak_t, hist.bin_width)
+    theta = np.array([max(centers @ counts / total - peak_t, w),
+                      min(peak_t - jitter_sigma, t0_hi - w / 2)])
+    converged = False
+    for _ in range(100):
+        f, grad, hess = derivatives(theta)
+        step = -np.linalg.solve(hess, grad)
+        t = 1.0  # damping: halve the step until the NLL falls
+        while -grad @ step > 1e-8 and t > 1e-10 and not (
+                theta[0] + t * step[0] > 0 and t0_lo <= theta[1] + t * step[1] < t0_hi
+                and nll(theta[None] + t * step)[0] < f):
+            t /= 2.0
+        # done when no fall is predicted, or none found (as at the sigma = 0 kink at t0_lo)
+        if not -grad @ step > 1e-8 or t <= 1e-10:
+            converged = bool(np.all(np.linalg.eigvalsh(hess) > 0))
+            break
+        theta = theta + t * step
+    tau_err = float(np.sqrt(np.linalg.inv(hess)[0, 0])) if converged else float("nan")
 
-    def nll(theta):
-        tau, t0 = theta
-        if tau <= 0:
-            return 1e30
-        # bin-center approximation of the integral; constant width drops out.
-        # Empty bins add nothing, also before t0, where an ideal detector has log p = -inf.
-        logp = np.where(counts > 0, _emg_logpdf(centers, tau, t0, jitter_sigma), 0.0)
-        return float(-np.sum(counts * logp))
-
-    from scipy.optimize import minimize
-
-    res = minimize(nll, [tau0, peak_t - jitter_sigma], method="Nelder-Mead",
-                   options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 20000})
-    tau_hat, t0_hat = res.x
-
-    # observed information via central differences on the profile in tau
-    h = max(1e-4 * tau_hat, 1e-6)
-    d2 = (nll([tau_hat + h, t0_hat]) - 2.0 * nll([tau_hat, t0_hat])
-          + nll([tau_hat - h, t0_hat])) / h**2
-    tau_err = float(1.0 / np.sqrt(d2)) if d2 > 0 else float("nan")
-
-    fwhm = 2.355 * jitter_sigma
-    tail = (centers > peak_t + fwhm) & (counts > 5)
-    converged = bool(res.success)
+    tail = (centers > peak_t + FWHM_PER_SIGMA * jitter_sigma) & (counts > 5)
     tau_tail = float("nan")
-    if np.count_nonzero(tail) >= 3:
-        # weighted LS on log counts: var(log n) ~ 1/n
-        y = np.log(counts[tail])
-        x = centers[tail]
-        wts = counts[tail]
-        coeffs, cov = np.polyfit(x, y, 1, w=np.sqrt(wts), cov=True)
-        slope, slope_err = coeffs[0], np.sqrt(cov[0, 0])
+    if np.count_nonzero(tail) >= 3:  # weighted LS on log counts: var(log n) ~ 1/n
+        (slope, _), cov = np.polyfit(centers[tail], np.log(counts[tail]), 1,
+                                     w=np.sqrt(counts[tail]), cov=True)
         tau_tail = -1.0 / slope
-        tail_err = tau_tail**2 * slope_err
-        tol = 2.0 * np.hypot(tau_err, tail_err) + 0.01 * tau_hat
-        if abs(tau_tail - tau_hat) > tol:
-            converged = False
-
-    return FitResult(
-        params={"tau": (float(tau_hat), tau_err),
-                "t0": (float(t0_hat), float("nan")),
-                "tau_tail": (tau_tail, float("nan"))},
-        converged=converged,
-    )
+        tail_err = tau_tail**2 * np.sqrt(cov[0, 0])
+        converged = converged and abs(tau_tail - theta[0]) <= (
+            2.0 * np.hypot(tau_err, tail_err) + 0.01 * theta[0])
+    return FitResult(params={"tau": (float(theta[0]), tau_err),
+                             "t0": (float(theta[1]), np.nan),
+                             "tau_tail": (tau_tail, np.nan)}, converged=bool(converged))
 
 
 def fit_rabi(sqrt_powers, rates, rate_normalization: float = 1.0) -> FitResult:
     """Fit rate = A sin^2(k sqrt(P) / 2) to a pulse-area scan.
 
-    Returns the area calibration k, the pi-pulse point pi/k, and the peak
-    emission probability A / rate_normalization.
+    Returns the area calibration k, pi-pulse point pi/k and peak emission A / rate_normalization.
     """
     x = np.asarray(sqrt_powers, dtype=float)
     y = np.asarray(rates, dtype=float)
-
-    def model(xx, a, k):
-        return a * np.sin(k * xx / 2.0) ** 2
-
-    a0 = float(np.max(y))
     k0 = np.pi / max(x[np.argmax(y)], 1e-12)
-    from scipy.optimize import curve_fit
-
-    try:
-        popt, pcov = curve_fit(model, x, y, p0=[a0, k0], maxfev=20000)
-    except RuntimeError:
-        return FitResult(params={"p_emit_pi": (np.nan, np.nan)}, converged=False)
-    perr = np.sqrt(np.diag(pcov))
-    a, k = popt
-    return FitResult(
-        params={
-            "amplitude": (a, perr[0]),
-            "area_calibration": (k, perr[1]),
-            "pi_pulse_sqrt_power": (np.pi / k, perr[1] * np.pi / k**2),
-            "p_emit_pi": (a / rate_normalization, perr[0] / rate_normalization),
-        },
-    )
+    (a, k), cov, converged = _profiled_lstsq(
+        x, y, lambda xx, k: np.sin(k * xx / 2.0)[:, None] ** 2, k0 / 4.0, k0 * 4.0)
+    a_err, k_err = np.sqrt(np.diag(cov))
+    return FitResult(params={"amplitude": (a, a_err),
+                             "area_calibration": (k, k_err),
+                             "pi_pulse_sqrt_power": (np.pi / k, k_err * np.pi / k**2),
+                             "p_emit_pi": (a / rate_normalization, a_err / rate_normalization)},
+                     converged=converged)
 
 
 def purcell_from_lifetimes(tau_meas: float, tau_bulk: float) -> float:

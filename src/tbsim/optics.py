@@ -19,7 +19,7 @@ from .kernels import dead_time_mask, pair_delay_counts
 from .qcore import DensityMatrix
 from .table import format_table, read_table
 
-JITTER_FWHM_TO_SIGMA = 1.0 / 2.355
+FWHM_PER_SIGMA = float(np.sqrt(8.0 * np.log(2.0)))  # Gaussian FWHM / sigma
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class DetectorModel:
 
     efficiency: float = 0.25
     dark_count_rate: float = 100.0  # counts/s
-    jitter_sigma: float = 16.0 * JITTER_FWHM_TO_SIGMA  # 16 ps FWHM resolution
+    jitter_sigma: float = 16.0 / FWHM_PER_SIGMA  # 16 ps FWHM resolution
     dead_time: float = 0.0  # ps
 
     def __post_init__(self):

@@ -183,6 +183,8 @@ _MALFORMED = {
                             ["--jitter-fwhm", "nan"], 3, "jitter-fwhm"),
     "budget-unparsable-value": ("analyze budget", _budget(count_rate="abc"), [], 3),
     "budget-out-of-range": ("analyze budget", _budget(blinking="1.5"), [], 3),
+    "budget-nan-count-rate": ("analyze budget", _budget(count_rate="nan"), [], 3, "rates"),
+    "budget-inf-rep-rate": ("analyze budget", _budget(rep_rate="inf"), [], 3, "rates"),
     "hom-visibility-above-1": ("simulate hom", "hom.mutual_visibility = 1.5\n", [], 2),
     "autocorr-negative-g2": ("simulate autocorr", "autocorr.g2_target = -0.5\n", [], 2),
     "tomography-negative-cycles": (
@@ -190,6 +192,13 @@ _MALFORMED = {
     "hom-zero-cycles": ("simulate hom", "hom.cycles = 0\n", [], 2),
     "autocorr-zero-cycles": ("simulate autocorr", "autocorr.cycles = 0\n", [], 2),
     "lifetime-zero-counts": ("simulate lifetime", "lifetime.counts = 0\n", [], 2),
+    "lifetime-negative-tau": ("simulate lifetime", "lifetime.tau_ps = -300\n", [], 2,
+                              "lifetime.tau_ps"),
+    "lifetime-nan-tau": ("simulate lifetime", "lifetime.tau_ps = nan\n", [], 2,
+                         "lifetime.tau_ps"),
+    "rabi-nan-damping": ("simulate rabi", "rabi.damping = nan\n", [], 2, "rabi.damping"),
+    "rabi-negative-damping": ("simulate rabi", "rabi.damping = -1\n", [], 2, "rabi.damping"),
+    "rabi-damping-above-1": ("simulate rabi", "rabi.damping = 5\n", [], 2, "rabi.damping"),
     "rabi-negative-cycles": ("simulate rabi", "rabi.cycles_per_point = -5\n", [], 2),
     "cavity-na-above-1": ("cavity efficiency", None, ["--nas", "1.5"], 2),
     "cavity-negative-height": ("cavity purcell", None, ["--heights", "-1"], 2),
@@ -328,7 +337,9 @@ for what in ("tomography", "hom", "autocorr", "lifetime", "rabi"):
     assert main(["simulate", what, "--config", cfg, "--out", out]) == 0, what
 for what, path in (("tomo", os.path.join(out, "tomography_counts.csv")),
                    ("g2", os.path.join(out, "autocorr_hist.csv")),
-                   ("hom", os.path.join(out, "hom_hist.csv")), ("budget", budget)):
+                   ("hom", os.path.join(out, "hom_hist.csv")),
+                   ("lifetime", os.path.join(out, "lifetime_hist.csv")),
+                   ("rabi", os.path.join(out, "rabi_scan.csv")), ("budget", budget)):
     assert main(["analyze", what, path, "--out", out]) == 0, what
 for what in ("spectrum", "purcell", "efficiency"):
     assert main(["cavity", what, "--out", out]) == 0, what
@@ -336,8 +347,9 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_commands_without_a_fit_never_import_scipy(tmp_path):
-    # importing scipy.optimize and scipy.stats was most of every command's start-up
+def test_no_command_imports_scipy(tmp_path):
+    # importing scipy.optimize and scipy.stats was most of every command's start-up;
+    # all 16 commands, the lifetime and Rabi fits included, run on NumPy alone
     root = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
     cfg = write(tmp_path, "run.cfg", MINI_CFG + "hom.cycles = 40000\n"
                 "autocorr.cycles = 30000\nlifetime.counts = 20000\n")

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import exponnorm
+from scipy.optimize import curve_fit
+from scipy.stats import expon, exponnorm
 
 from tbsim import fitting
+from tbsim.cascade import two_photon_rabi_population
 from tbsim.optics import CoincidenceHistogram, symmetric_bins
 from tbsim.rng import CounterRng
 
@@ -129,17 +131,86 @@ def test_lifetime_fit_requires_counts():
         fitting.fit_lifetime(h, 7.0)
 
 
-@given(tau=st.floats(1.0, 5000.0), sigma=st.floats(0.01, 200.0),
+def test_lifetime_fit_ideal_detector_unbiased():
+    # the bin-centre density put t0 at the first filled bin's centre and read tau
+    # several ps low, at times with a NaN sigma; the bin-integral likelihood moves t0
+    fits = [fitting.fit_lifetime(synthetic_lifetime_hist(300.0, 0.0, 100000, seed), 0.0)
+            for seed in range(1, 9)]
+    assert all(f.converged and np.isfinite(f.sigma("tau")) for f in fits)
+    taus = np.array([f.value("tau") for f in fits])
+    sigmas = np.array([f.sigma("tau") for f in fits])
+    assert abs(taus.mean() - 300.0) < 2.0 * np.sqrt(np.sum(sigmas**2)) / len(fits)
+
+
+def test_lifetime_fit_survives_count_far_before_onset():
+    # one count 30 sigma before the onset, where Phi(z) is ~1e-198
+    sigma = 16.0 / 2.3548200450309493
+    h = synthetic_lifetime_hist(300.0, sigma, 100000, seed=300)
+    edges = h.origin + h.bin_width * np.arange(len(h.counts) + 1)
+    i = int(np.searchsorted(edges, 200.0 - 30.0 * sigma)) - 1
+    assert h.counts[i] == 0
+    counts = h.counts.copy()
+    counts[i] = 1
+    fit = fitting.fit_lifetime(CoincidenceHistogram(h.bin_width, h.origin, counts), sigma)
+    assert fit.converged
+    assert fit.value("tau") == pytest.approx(300.0, rel=0.01)
+    # down to 60 sigma before the onset, where erfc has underflowed, log p stays finite
+    log_p = fitting._log_bin_probs(200.0 - sigma * np.arange(60.0, 0.0, -1.0), 300.0,
+                                   200.0, sigma)
+    assert np.all(np.isfinite(log_p))
+
+
+@given(tau=st.floats(1.0, 5000.0),
+       sigma=st.one_of(st.just(0.0), st.floats(0.01, 200.0)),
        t0=st.floats(-500.0, 500.0),
-       t=st.lists(st.floats(-2000.0, 20000.0), min_size=1, max_size=50))
-@example(tau=300.0, sigma=6.794, t0=0.0, t=[0.0, 100.0, 500.0])
+       edges=st.lists(st.floats(-2000.0, 20000.0), min_size=2, max_size=50, unique=True))
+@example(tau=300.0, sigma=6.794, t0=0.0, edges=[0.0, 4.0, 100.0, 500.0])
 @settings(max_examples=300, deadline=None)
-def test_lifetime_fit_matches_emg_shape(tau, sigma, t0, t):
-    # the likelihood model is scipy's exponnorm log-density, bit for bit
-    t = np.array(t)
-    want = exponnorm.logpdf(t, tau / sigma, loc=t0, scale=sigma)
-    got = fitting._emg_logpdf(t, tau, t0, sigma)
-    assert np.array_equal(got, want)
+def test_lifetime_bin_probabilities_match_scipy(tau, sigma, t0, edges):
+    # the likelihood's bin probabilities are differences of scipy's exponnorm (expon
+    # without jitter) CDF: to 1e-9 relative, or a few ulp of 1 times 1 + s^2, s = sigma/tau,
+    # as both evaluate exp(s^2/2 - x/tau) Phi(z - s) through a log of size s^2/2
+    edges = np.sort(edges)
+    if sigma == 0:
+        cdf = expon.cdf(edges, loc=t0, scale=tau)
+    else:
+        cdf = exponnorm.cdf(edges, tau / sigma, loc=t0, scale=sigma)
+    got = np.exp(fitting._log_bin_probs(edges, tau, t0, sigma))
+    np.testing.assert_allclose(got, np.diff(cdf), rtol=1e-9,
+                               atol=1e-15 * (1.0 + (sigma / tau) ** 2))
+
+
+def _rabi_scan(seed):
+    # `tbsim simulate rabi` on baseline.cfg
+    x = np.round(np.linspace(0.1, 2.5, 25), 6)
+    means = 100000 * np.array([two_photon_rabi_population(np.pi * s, 0.65) for s in x])
+    return x, CounterRng(seed, stream=81).poisson(means).astype(float)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rabi_and_hom_fits_match_curve_fit(seed):
+    # the profiled fits and their sigmas are curve_fit's, converged tightly
+    x, y = _rabi_scan(seed)
+    fit = fitting.fit_rabi(x, y)
+    assert fit.converged
+    popt, pcov = curve_fit(lambda x, a, k: a * np.sin(k * x / 2.0) ** 2, x, y,
+                           p0=[y.max(), np.pi / x[np.argmax(y)]], ftol=1e-14, xtol=1e-14)
+    for i, name in enumerate(("amplitude", "area_calibration")):
+        assert fit.value(name) == pytest.approx(popt[i], rel=1e-6)
+        assert fit.sigma(name) == pytest.approx(np.sqrt(pcov[i, i]), rel=1e-6)
+
+    d = np.linspace(-4000.0, 4000.0, 33)
+    rates = CounterRng(seed, stream=5).poisson(
+        500.0 * (1.0 - 0.508 * np.exp(-np.abs(d) / 600.0))).astype(float)
+    fit = fitting.hom_delay_scan(d, rates)
+    with np.errstate(over="ignore"):  # curve_fit tries tau_c < 0 on its way
+        popt, pcov = curve_fit(lambda d, r0, v, tau_c: r0 * (1.0 - v * np.exp(-np.abs(d) / tau_c)),
+                               d, rates, p0=[rates.max(), 0.5, 8000.0 / 6.0],
+                               ftol=1e-14, xtol=1e-14)
+    assert fit.converged
+    for i, name in enumerate(("rate0", "visibility", "tau_c")):
+        assert fit.value(name) == pytest.approx(popt[i], rel=1e-6)
+        assert fit.sigma(name) == pytest.approx(np.sqrt(pcov[i, i]), rel=1e-6)
 
 
 def test_rabi_fit_recovery():
