@@ -38,16 +38,16 @@ class EmitterParams:
     blinking_mean_on_cycles: float = 200.0
 
     def __post_init__(self):
-        if not (self.tau_xx > 0 and self.tau_x > 0 and self.rep_period > 0):
-            raise ValueError("lifetimes and repetition period must be positive")
+        if not all(0 < t < np.inf for t in (self.tau_xx, self.tau_x, self.rep_period)):
+            raise ValueError("lifetimes and repetition period must be positive and finite")
         if not (0.0 < self.blinking_on_fraction <= 1.0):
             raise ValueError("blinking_on_fraction must be in (0, 1]")
         if not (0.0 < self.p_emit_pi <= 1.0):
             raise ValueError("p_emit_pi must be in (0, 1]")
         if not (0.0 <= self.two_pair_prob < 1.0):
             raise ValueError("two_pair_prob must be in [0, 1)")
-        if self.blinking_mean_on_cycles < 1.0:
-            raise ValueError("blinking_mean_on_cycles must be >= 1")
+        if not 1.0 <= self.blinking_mean_on_cycles < np.inf:
+            raise ValueError("blinking_mean_on_cycles must be finite and >= 1")
 
 
 @dataclass

@@ -53,8 +53,8 @@ class DefectModel:
     diameter: float = 2000.0
 
     def __post_init__(self):
-        if self.height <= 0 or self.diameter <= 0:
-            raise ValueError("defect height and diameter must be positive")
+        if not (0 < self.height < np.inf and 0 < self.diameter < np.inf):
+            raise ValueError("defect height and diameter must be positive and finite")
 
 
 def make_cavity_stack(bottom_pairs: int = 24, top_pairs: int = 5,
@@ -65,6 +65,8 @@ def make_cavity_stack(bottom_pairs: int = 24, top_pairs: int = 5,
 
     The spacer and the substrate are of the high-index material.
     """
+    if bottom_pairs < 0 or top_pairs < 0:
+        raise ValueError("mirror pair counts must be non-negative")
     layers = []
     for _ in range(top_pairs):
         layers.append(Layer(n_high, t_high))

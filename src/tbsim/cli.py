@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, cavity, fitting, optics, tomo
 from .cascade import two_pair_prob_for_g2, two_photon_rabi_population
-from .config import ConfigError, RunConfig, parse_config
+from .config import RunConfig, parse_config, parse_seed
 from .qcore import purity
 from .rng import CounterRng
 from .table import format_table, read_table
@@ -111,15 +111,6 @@ def _read_config(path: str) -> RunConfig:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def _load_config(args) -> RunConfig:
-    if not args.config:
-        raise ConfigError("--config", "a config file is required")
-    cfg = _read_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
-
-
 # ---------------------------------------------------------------- simulate
 
 
@@ -165,7 +156,7 @@ def _simulate_lifetime(cfg: RunConfig, run: _Run) -> None:
     edges = np.arange(lo, hi + bin_width, bin_width)
     counts, _ = np.histogram(t, bins=edges)
     hist = optics.CoincidenceHistogram(
-        bin_width=bin_width, origin=float(edges[0] + bin_width / 2.0),
+        bin_width=bin_width, origin=float(edges[0]),
         counts=counts.astype(np.int64))
     run.write("lifetime_hist.csv", hist.to_csv())
 
@@ -195,7 +186,9 @@ _SIMULATORS = {
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+    cfg = _read_config(args.config)
+    if args.seed is not None:
+        cfg.seed = args.seed
     out_dir = args.out or cfg.output_dir
     run = _Run(f"simulate {args.what}", out_dir, cfg.hash(), cfg.seed)
     run.add_input(args.config)
@@ -213,9 +206,9 @@ def _read_text(path: str) -> str:
 
 
 def _analyze_tomo(args, run: _Run) -> dict:
-    exposures = tomo.slot_exposure_weights() if args.event_exposures else None
-    table = tomo.CountsTable.from_csv(_read_text(args.input), exposures=exposures)
-    result = tomo.reconstruct(table, mc_runs=args.mc_runs, seed=args.seed or 0)
+    table = tomo.CountsTable.from_csv(_read_text(args.input))
+    run.seed = args.seed
+    result = tomo.reconstruct(table, mc_runs=args.mc_runs, seed=args.seed)
     if not result.converged:
         raise ConvergenceError("tomographic reconstruction did not converge")
     return {
@@ -305,7 +298,7 @@ _ANALYZERS = {
 
 
 def cmd_analyze(args) -> int:
-    run = _Run(f"analyze {args.what}", args.out or ".", None, args.seed)
+    run = _Run(f"analyze {args.what}", args.out or ".", None, None)
     try:
         run.add_input(args.input)
         result = _ANALYZERS[args.what](args, run)
@@ -328,9 +321,6 @@ def cmd_cavity(args) -> int:
         stack, defect, cfg_hash = cfg.stack, cfg.defect, cfg.hash()
     else:
         stack, defect, cfg_hash = cavity.make_cavity_stack(), cavity.DefectModel(), None
-    defects = [cavity.DefectModel(height=h, diameter=defect.diameter)
-               for h in (args.heights or [10.0, 20.0, 30.0])]
-    nas = args.nas or [0.62, 0.7]
     run = _Run(f"cavity {args.what}", args.out or ".", cfg_hash, None)
     if args.config:
         run.add_input(args.config)
@@ -345,13 +335,15 @@ def cmd_cavity(args) -> int:
         run.write("resonance.json", _json_dumps(
             {"wavelength_nm": lam0, "quality_factor": q}))
     elif args.what == "purcell":
+        defects = [cavity.DefectModel(height=h, diameter=defect.diameter)
+                   for h in args.heights]
         run.write("purcell.csv", format_table(
             ("height_nm", "waist_nm", "purcell"),
             ((d.height, cavity.mode_waist(d), cavity.purcell(stack, d, lam0, q))
              for d in defects)))
     else:  # efficiency
         etas = {f"{na:g}": cavity.extraction_efficiency(defect, na, stack, lam0, q)
-                for na in nas}
+                for na in args.nas}
         run.write("efficiency.json", _json_dumps(
             {"wavelength_nm": lam0, "quality_factor": q,
              "extraction_efficiency": etas}))
@@ -369,42 +361,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="flat key-value config file")
-        sp.add_argument("--seed", type=lambda s: int(s, 0),
-                        help="overrides the config seed")
-        sp.add_argument("--out", help="output directory")
-
     sim = sub.add_parser("simulate", help="generate synthetic data files")
     sim.add_argument("what", choices=sorted(_SIMULATORS))
-    common(sim)
+    sim.add_argument("--config", required=True, help="flat key-value config file")
+    sim.add_argument("--seed", type=parse_seed, help="overrides the config seed")
+    sim.add_argument("--out", help="output directory (default: output.dir)")
     sim.set_defaults(func=cmd_simulate)
 
-    ana = sub.add_parser("analyze", help="extract physics from data files")
-    ana.add_argument("what", choices=sorted(_ANALYZERS))
-    ana.add_argument("input", help="input CSV/cfg file")
-    common(ana)
-    ana.add_argument("--rep-period", type=float, default=12500.0,
-                     help="pulse repetition period in ps")
-    ana.add_argument("--delay", type=float, default=3000.0,
-                     help="analyzer path delay in ps")
-    ana.add_argument("--jitter-fwhm", type=float, default=16.0,
-                     help="detector response FWHM in ps")
-    ana.add_argument("--rate-normalization", type=float, default=1.0)
-    ana.add_argument("--mc-runs", type=int, default=50,
-                     help="Monte-Carlo error-bar resamples")
-    ana.add_argument("--event-exposures", action="store_true",
-                     help="apply interferometric slot acceptance weights")
-    ana.set_defaults(func=cmd_analyze)
+    def group(name, help, whats, func):
+        """`tbsim name what`: one subcommand per `what`, each taking `--out`."""
+        subs = sub.add_parser(name, help=help).add_subparsers(dest="what", required=True)
+        parsers = {}
+        for what in whats:
+            sp = parsers[what] = subs.add_parser(what)
+            sp.add_argument("--out", help="output directory")
+            sp.set_defaults(func=func)
+        return parsers
 
-    cav = sub.add_parser("cavity", help="transfer-matrix cavity calculations")
-    cav.add_argument("what", choices=["spectrum", "purcell", "efficiency"])
-    common(cav)
-    cav.add_argument("--heights", type=float, nargs="+",
-                     help="defect heights (nm) for the Purcell sweep")
-    cav.add_argument("--nas", type=float, nargs="+",
-                     help="numerical apertures for the efficiency estimate")
-    cav.set_defaults(func=cmd_cavity)
+    ana = group("analyze", "extract physics from data files", _ANALYZERS, cmd_analyze)
+    for sp in ana.values():
+        sp.add_argument("input", help="input CSV/cfg file")
+    ana["tomo"].add_argument("--seed", type=parse_seed, default=0,
+                             help="Monte-Carlo resampling seed")
+    ana["tomo"].add_argument("--mc-runs", type=int, default=50,
+                             help="Monte-Carlo error-bar resamples")
+    ana["g2"].add_argument("--rep-period", type=float, default=12500.0,
+                           help="pulse repetition period in ps")
+    ana["hom"].add_argument("--delay", type=float, default=3000.0,
+                            help="analyzer path delay in ps")
+    ana["lifetime"].add_argument("--jitter-fwhm", type=float, default=16.0,
+                                 help="detector response FWHM in ps")
+    ana["rabi"].add_argument("--rate-normalization", type=float, default=1.0,
+                             help="p_emit_pi = fitted amplitude / this")
+
+    cav = group("cavity", "transfer-matrix cavity calculations",
+                ("spectrum", "purcell", "efficiency"), cmd_cavity)
+    for sp in cav.values():
+        sp.add_argument("--config", help="flat key-value config file "
+                        "(default: the nominal stack and defect)")
+    cav["purcell"].add_argument("--heights", type=float, nargs="+",
+                                default=[10.0, 20.0, 30.0],
+                                help="defect heights (nm) for the Purcell sweep")
+    cav["efficiency"].add_argument("--nas", type=float, nargs="+", default=[0.62, 0.7],
+                                   help="numerical apertures for the efficiency estimate")
     return p
 
 

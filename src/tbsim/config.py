@@ -3,17 +3,18 @@
 Format: one `key = value` pair per line with dotted section prefixes
 (`emitter.tau_xx_ps = 300`), `#` comments, blank lines ignored. The config
 hash is computed over the sorted key set, so reordering lines does not
-change it.
+change it. Every key is declared once, in `_KEYS`; any other key is rejected.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .cascade import EmitterParams
-from .cavity import N_ALAS, N_GAAS, DefectModel, LayerStack, make_cavity_stack
-from .optics import FWHM_PER_SIGMA, DetectorModel, Interferometer, TimebinStateModel
+from .cavity import DefectModel, LayerStack, make_cavity_stack
+from .optics import DetectorModel, Interferometer, TimebinStateModel
 
 
 class ConfigError(ValueError):
@@ -52,27 +53,85 @@ def config_hash(mapping: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _get(mapping: dict, key: str, cast, default=None):
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(key, "required key is missing")
-        return default
-    try:
-        return cast(mapping[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(key, f"cannot parse {mapping[key]!r}: {exc}") from None
+def _int(text: str) -> int:
+    return int(text, 0)
 
 
-def _int(s):
-    v = int(s, 0) if isinstance(s, str) else int(s)
-    return v
+def _checked(parse, ok, requirement: str):
+    """`parse`, then reject a value for which `ok` is false."""
+    def parse_checked(text):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"must be {requirement}")
+        return value
+    return parse_checked
 
 
-def _count(mapping: dict, key: str, default: int) -> int:
-    v = _get(mapping, key, _int, default)
-    if v <= 0:
-        raise ConfigError(key, f"must be a positive integer, got {v}")
-    return v
+def parse_seed(text: str) -> int:
+    """A run seed: an unsigned 64-bit integer, in any base `int(text, 0)` reads."""
+    seed = _int(text)
+    if not 0 <= seed < 2**64:
+        raise ValueError("must be an unsigned 64-bit integer")
+    return seed
+
+
+_COUNT = _checked(_int, lambda v: v > 0, "a positive integer")
+_ANALYZERS = ("analyzer_xx", "analyzer_x")
+
+# Every key a config file may set: key -> (what it sets, field there, parser).
+# What it sets is a model field of RunConfig, a tuple of them, or None for
+# RunConfig itself. Model values are checked by the model; the parsers of
+# RunConfig's own fields hold its checks.
+_KEYS = {
+    "seed": (None, "seed", parse_seed),
+    "emitter.tau_xx_ps": ("emitter", "tau_xx", float),
+    "emitter.tau_x_ps": ("emitter", "tau_x", float),
+    "emitter.blinking_on_fraction": ("emitter", "blinking_on_fraction", float),
+    "emitter.p_emit_pi": ("emitter", "p_emit_pi", float),
+    "emitter.two_pair_prob": ("emitter", "two_pair_prob", float),
+    "emitter.rep_period_ps": ("emitter", "rep_period", float),
+    "emitter.blinking_mean_on_cycles": ("emitter", "blinking_mean_on_cycles", float),
+    "state.visibility": ("state", "visibility", float),
+    "state.pump_phase": ("state", "pump_phase", float),
+    "analyzer.delay_ps": (_ANALYZERS, "delay", float),
+    "analyzer.phase_xx": ("analyzer_xx", "phase", float),
+    "analyzer.phase_x": ("analyzer_x", "phase", float),
+    "detector.efficiency": ("detectors", "efficiency", float),
+    "detector.dark_count_rate_hz": ("detectors", "dark_count_rate", float),
+    "detector.jitter_sigma_ps": ("detectors", "jitter_sigma", float),
+    "detector.dead_time_ps": ("detectors", "dead_time", float),
+    "tomography.cycles_per_setting": (None, "tomography_cycles", _COUNT),
+    "hom.mutual_visibility": (None, "hom_mutual_visibility",
+                              _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")),
+    "hom.cycles": (None, "hom_cycles", _COUNT),
+    "autocorr.photon": (None, "autocorr_photon",
+                        _checked(str, lambda v: v in ("xx", "x"), "'xx' or 'x'")),
+    "autocorr.cycles": (None, "autocorr_cycles", _COUNT),
+    "autocorr.g2_target": (None, "autocorr_g2_target",
+                           _checked(float, lambda v: v >= 0.0, "non-negative")),
+    "lifetime.tau_ps": (None, "lifetime_tau", _checked(
+        float, lambda v: 0.0 < v < math.inf, "positive and finite")),
+    "lifetime.counts": (None, "lifetime_counts", _COUNT),
+    "rabi.damping": (None, "rabi_damping",
+                     _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
+    "rabi.cycles_per_point": (None, "rabi_cycles_per_point", _COUNT),
+    "cavity.bottom_pairs": ("stack", "bottom_pairs", _int),
+    "cavity.top_pairs": ("stack", "top_pairs", _int),
+    "cavity.t_high_nm": ("stack", "t_high", float),
+    "cavity.t_low_nm": ("stack", "t_low", float),
+    "cavity.t_cavity_nm": ("stack", "t_cavity", float),
+    "cavity.n_high": ("stack", "n_high", float),
+    "cavity.n_low": ("stack", "n_low", float),
+    "defect.height_nm": ("defect", "height", float),
+    "defect.diameter_nm": ("defect", "diameter", float),
+    "output.dir": (None, "output_dir", str),
+}
+
+# The model each RunConfig model field is built by, from the keys given.
+_MODELS = {"emitter": EmitterParams, "state": TimebinStateModel,
+           "analyzer_xx": Interferometer, "analyzer_x": Interferometer,
+           "detectors": DetectorModel, "stack": make_cavity_stack,
+           "defect": DefectModel}
 
 
 @dataclass
@@ -89,115 +148,42 @@ class RunConfig:
     analyzer_xx: Interferometer
     analyzer_x: Interferometer
     detectors: DetectorModel
-    tomography_cycles: int
-    hom_mutual_visibility: float
-    hom_cycles: int
-    autocorr_photon: str
-    autocorr_cycles: int
-    autocorr_g2_target: float
-    lifetime_tau: float
-    lifetime_counts: int
-    rabi_damping: float
-    rabi_cycles_per_point: int
     stack: LayerStack
     defect: DefectModel
-    output_dir: str
+    tomography_cycles: int = 200000
+    hom_mutual_visibility: float = 0.482
+    hom_cycles: int = 400000
+    autocorr_photon: str = "xx"
+    autocorr_cycles: int = 300000
+    autocorr_g2_target: float = 0.016
+    lifetime_tau: float = 300.0
+    lifetime_counts: int = 100000
+    rabi_damping: float = 0.65
+    rabi_cycles_per_point: int = 100000
+    output_dir: str = "."
     raw: dict = field(default_factory=dict)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":
-        seed = _get(mapping, "seed", _int)
-        if not (0 <= seed < 2**64):
-            raise ConfigError("seed", "must be an unsigned 64-bit integer")
-        try:
-            emitter = EmitterParams(
-                tau_xx=_get(mapping, "emitter.tau_xx_ps", float, 300.0),
-                tau_x=_get(mapping, "emitter.tau_x_ps", float, 468.0),
-                blinking_on_fraction=_get(
-                    mapping, "emitter.blinking_on_fraction", float, 0.625),
-                p_emit_pi=_get(mapping, "emitter.p_emit_pi", float, 0.65),
-                two_pair_prob=_get(mapping, "emitter.two_pair_prob", float, 0.0),
-                rep_period=_get(mapping, "emitter.rep_period_ps", float, 12500.0),
-                blinking_mean_on_cycles=_get(
-                    mapping, "emitter.blinking_mean_on_cycles", float, 200.0),
-            )
-            state = TimebinStateModel(
-                visibility=_get(mapping, "state.visibility", float, 1.0),
-                pump_phase=_get(mapping, "state.pump_phase", float, 0.0),
-            )
-            delay = _get(mapping, "analyzer.delay_ps", float, 3000.0)
-            analyzer_xx = Interferometer(
-                delay=delay, phase=_get(mapping, "analyzer.phase_xx", float, 0.0))
-            analyzer_x = Interferometer(
-                delay=delay, phase=_get(mapping, "analyzer.phase_x", float, 0.0))
-            detectors = DetectorModel(
-                efficiency=_get(mapping, "detector.efficiency", float, 0.25),
-                dark_count_rate=_get(
-                    mapping, "detector.dark_count_rate_hz", float, 100.0),
-                jitter_sigma=_get(mapping, "detector.jitter_sigma_ps", float,
-                                  16.0 / FWHM_PER_SIGMA),
-                dead_time=_get(mapping, "detector.dead_time_ps", float, 0.0),
-            )
-            stack = make_cavity_stack(
-                bottom_pairs=_get(mapping, "cavity.bottom_pairs", _int, 24),
-                top_pairs=_get(mapping, "cavity.top_pairs", _int, 5),
-                t_high=_get(mapping, "cavity.t_high_nm", float, 68.0),
-                t_low=_get(mapping, "cavity.t_low_nm", float, 82.0),
-                t_cavity=_get(mapping, "cavity.t_cavity_nm", float, 270.0),
-                n_high=_get(mapping, "cavity.n_high", float, N_GAAS),
-                n_low=_get(mapping, "cavity.n_low", float, N_ALAS),
-            )
-            defect = DefectModel(
-                height=_get(mapping, "defect.height_nm", float, 20.0),
-                diameter=_get(mapping, "defect.diameter_nm", float, 2000.0),
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError("<validation>", str(exc)) from None
-
-        photon = _get(mapping, "autocorr.photon", str, "xx")
-        if photon not in ("xx", "x"):
-            raise ConfigError("autocorr.photon", "must be 'xx' or 'x'")
-        g2_target = _get(mapping, "autocorr.g2_target", float, 0.016)
-        if not g2_target >= 0.0:
-            raise ConfigError("autocorr.g2_target", f"must be non-negative, got {g2_target}")
-        hom_visibility = _get(mapping, "hom.mutual_visibility", float, 0.482)
-        if not 0.0 <= hom_visibility <= 1.0:
-            raise ConfigError("hom.mutual_visibility",
-                              f"must be in [0, 1], got {hom_visibility}")
-        lifetime_tau = _get(mapping, "lifetime.tau_ps", float, 300.0)
-        if not 0.0 < lifetime_tau < float("inf"):
-            raise ConfigError("lifetime.tau_ps",
-                              f"must be positive and finite, got {lifetime_tau}")
-        rabi_damping = _get(mapping, "rabi.damping", float, 0.65)
-        if not 0.0 < rabi_damping <= 1.0:
-            raise ConfigError("rabi.damping", f"must be in (0, 1], got {rabi_damping}")
-
-        return cls(
-            seed=seed,
-            emitter=emitter,
-            state=state,
-            analyzer_xx=analyzer_xx,
-            analyzer_x=analyzer_x,
-            detectors=detectors,
-            tomography_cycles=_count(mapping, "tomography.cycles_per_setting",
-                                     200000),
-            hom_mutual_visibility=hom_visibility,
-            hom_cycles=_count(mapping, "hom.cycles", 400000),
-            autocorr_photon=photon,
-            autocorr_cycles=_count(mapping, "autocorr.cycles", 300000),
-            autocorr_g2_target=g2_target,
-            lifetime_tau=lifetime_tau,
-            lifetime_counts=_count(mapping, "lifetime.counts", 100000),
-            rabi_damping=rabi_damping,
-            rabi_cycles_per_point=_count(mapping, "rabi.cycles_per_point",
-                                         100000),
-            stack=stack,
-            defect=defect,
-            output_dir=_get(mapping, "output.dir", str, "."),
-            raw=dict(mapping),
-        )
+        if "seed" not in mapping:
+            raise ConfigError("seed", "required key is missing")
+        given = {part: {} for part in (None, *_MODELS)}
+        for key, text in mapping.items():
+            if key not in _KEYS:
+                raise ConfigError(key, "unknown key")
+            parts, name, parse = _KEYS[key]
+            parts = parts if isinstance(parts, tuple) else (parts,)
+            try:
+                value = parse(text)
+                for part in parts:
+                    if part is not None:  # the model's own check, on this value alone
+                        _MODELS[part](**{name: value})
+            except ValueError as exc:
+                raise ConfigError(key, f"{text!r} rejected: {exc}") from None
+            for part in parts:
+                given[part][name] = value
+        models = {part: build(**given[part]) for part, build in _MODELS.items()}
+        return cls(**given[None], **models, raw=dict(mapping))
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":

@@ -218,9 +218,11 @@ def fit_lifetime(hist: CoincidenceHistogram, jitter_sigma: float) -> FitResult:
     def derivatives(theta):  # NLL, gradient and Hessian by central differences on _STENCIL
         h = np.array([1e-3 * theta[0], min(1e-3 * max(jitter_sigma, w), (t0_hi - theta[1]) / 2)])
         f = nll(theta + h * _STENCIL).reshape(3, 3)
-        cross = _D1 @ f @ _D1
-        hess = np.array([[_D2 @ f[:, 1], cross], [cross, f[1] @ _D2]]) / np.outer(h, h)
-        return f[1, 1], np.array([_D1 @ f[:, 1], f[1] @ _D1]) / h, hess
+        # an infinite NLL on the stencil makes NaN derivatives, which end the fit unconverged
+        with np.errstate(invalid="ignore"):
+            cross = _D1 @ f @ _D1
+            hess = np.array([[_D2 @ f[:, 1], cross], [cross, f[1] @ _D2]]) / np.outer(h, h)
+            return f[1, 1], np.array([_D1 @ f[:, 1], f[1] @ _D1]) / h, hess
 
     peak_t = float(centers[np.argmax(counts)])
     theta = np.array([max(centers @ counts / total - peak_t, w),

@@ -30,8 +30,9 @@ class Interferometer:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.delay <= 0:
-            raise ValueError("interferometer delay must be positive")
+        if not (0 < self.delay < np.inf and np.isfinite(self.phase)):
+            raise ValueError("interferometer delay must be positive and finite, "
+                             "its phase finite")
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,9 @@ class DetectorModel:
     def __post_init__(self):
         if not (0.0 < self.efficiency <= 1.0):
             raise ValueError("efficiency must be in (0, 1]")
-        if self.dark_count_rate < 0 or self.jitter_sigma < 0 or self.dead_time < 0:
-            raise ValueError("detector parameters must be non-negative")
+        if not all(0 <= v < np.inf
+                   for v in (self.dark_count_rate, self.jitter_sigma, self.dead_time)):
+            raise ValueError("detector parameters must be non-negative and finite")
 
     @classmethod
     def ideal(cls) -> "DetectorModel":
@@ -64,6 +66,8 @@ class TimebinStateModel:
     def __post_init__(self):
         if not (0.0 <= self.visibility <= 1.0):
             raise ValueError("visibility must be in [0, 1]")
+        if not np.isfinite(self.pump_phase):
+            raise ValueError("pump phase must be finite")
 
 
 @dataclass

@@ -98,7 +98,7 @@ class CountsTable:
              for s, n in zip(SETTINGS, self.counts.tolist())))
 
     @classmethod
-    def from_csv(cls, text: str, exposures=None) -> "CountsTable":
+    def from_csv(cls, text: str) -> "CountsTable":
         _, (xx, x, n) = read_table(text, _COUNTS_COLUMNS, "counts", (str, str, int))
         expected = [(s.xx_projector, s.x_projector) for s in SETTINGS]
         rows = {}
@@ -111,8 +111,7 @@ class CountsTable:
         missing = [key for key in expected if key not in rows]
         if missing:
             raise ValueError(f"counts file missing setting {missing[0]}")
-        kwargs = {} if exposures is None else {"exposures": exposures}
-        return cls(counts=[rows[key] for key in expected], **kwargs)
+        return cls(counts=[rows[key] for key in expected])
 
 
 def expected_probability(rho, setting: TomographySetting) -> float:

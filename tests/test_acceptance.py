@@ -182,7 +182,7 @@ def test_criterion_6_lifetimes():
         t = 200.0 + r.exponential(100_000, tau) + r.normal(100_000, sigma)
         edges = np.arange(-200.0, 200.0 + 12 * tau, 4.0)
         counts, _ = np.histogram(t, bins=edges)
-        hist = CoincidenceHistogram(4.0, float(edges[0] + 2.0),
+        hist = CoincidenceHistogram(4.0, float(edges[0]),
                                     counts.astype(np.int64))
         fit = fitting.fit_lifetime(hist, sigma)
         tau_hat, tau_err = fit.value("tau"), fit.sigma("tau")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tbsim import cavity
-from tbsim.cli import main
+from tbsim.cli import build_parser, main
 from tbsim.config import ConfigError, RunConfig, config_hash, parse_config
 
 MINI_CFG = """\
@@ -152,6 +152,17 @@ def _budget(**override):
     return "".join(f"xx.{k} = {v}\n" for k, v in {**_BUDGET, **override}.items())
 
 
+def _rising_hist():
+    # 200 bins rising linearly from bin 0: no decay, so --jitter-fwhm 0 cannot converge
+    rows = "".join(f"{2.0 + 4.0 * i!r},{100 + 10 * i}\n" for i in range(200))
+    return "# bin_width_ps=4.0\n# origin_ps=0.0\ndelay_ps,counts\n" + rows
+
+
+def _rejects(command, line):
+    """A config line that exits 2 with a message naming its key."""
+    return (command, line + "\n", [], 2, f"'{line.split(' = ')[0]}'")
+
+
 _DIRECTORY = object()  # the input or config path is a directory
 
 # case: (command, content of the input file or of the config after the
@@ -212,11 +223,34 @@ _MALFORMED = {
                            "repetition period"),
     "g2-rep-period-below-bin-width": ("analyze g2", _flat_hist(), ["--rep-period", "1e-3"],
                                       3, "repetition period"),
+    "lifetime-rising-zero-jitter": ("analyze lifetime", _rising_hist(),
+                                    ["--jitter-fwhm", "0"], 4, "did not converge"),
+    "key-misspelt": _rejects("simulate lifetime", "lifetime.tau_pss = 500"),
+    "key-negative-tau-xx": _rejects("simulate hom", "emitter.tau_xx_ps = -1"),
+    "key-visibility-above-1": _rejects("simulate tomography", "state.visibility = 1.5"),
+    "key-efficiency-above-1": _rejects("simulate tomography", "detector.efficiency = 2"),
+    "key-inf-jitter": _rejects("simulate hom", "detector.jitter_sigma_ps = inf"),
+    "key-nan-jitter": _rejects("simulate hom", "detector.jitter_sigma_ps = nan"),
+    "key-nan-dead-time": _rejects("simulate autocorr", "detector.dead_time_ps = nan"),
+    "key-inf-dark-count-rate": _rejects("simulate hom", "detector.dark_count_rate_hz = inf"),
+    "key-inf-tau-x": _rejects("simulate hom", "emitter.tau_x_ps = inf"),
+    "key-inf-rep-period": _rejects("simulate autocorr", "emitter.rep_period_ps = inf"),
+    "key-inf-mean-on-cycles": _rejects("simulate autocorr",
+                                       "emitter.blinking_mean_on_cycles = inf"),
+    "key-nan-mean-on-cycles": _rejects("simulate autocorr",
+                                       "emitter.blinking_mean_on_cycles = nan"),
+    "key-inf-delay": _rejects("simulate hom", "analyzer.delay_ps = inf"),
+    "key-nan-delay": _rejects("simulate hom", "analyzer.delay_ps = nan"),
+    "key-nan-pump-phase": _rejects("simulate tomography", "state.pump_phase = nan"),
+    "key-negative-bottom-pairs": _rejects("cavity spectrum", "cavity.bottom_pairs = -3"),
+    "key-nan-defect-height": _rejects("cavity efficiency", "defect.height_nm = nan"),
+    "cavity-nan-height": ("cavity purcell", None, ["--heights", "nan"], 2),
     "simulate-config-is-directory": ("simulate tomography", _DIRECTORY, [], 3),
     "cavity-config-is-directory": ("cavity spectrum", _DIRECTORY, [], 3),
 }
 
 
+@pytest.mark.filterwarnings("error")  # a warning prints lines of its own on stderr
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_input_exit_code_and_one_line(tmp_path, capsys, case):
     command, content, flags, code, *match = _MALFORMED[case]
@@ -233,9 +267,20 @@ def test_malformed_input_exit_code_and_one_line(tmp_path, capsys, case):
         argv += ["--config", str(path)]
     assert main(argv) == code
     err = capsys.readouterr().err
-    prefix = "data error: " if code == 3 else "config error: "
+    prefix = {3: "data error: ", 4: "convergence error: "}.get(code, "config error: ")
     assert err.startswith(prefix) and err.count("\n") == 1, err
     assert all(text in err for text in match), err
+
+
+@pytest.mark.parametrize("argv", [
+    "analyze g2 in.csv --delay 1", "analyze g2 in.csv --config x",
+    "analyze tomo in.csv --event-exposures", "cavity spectrum --seed 1",
+    "cavity spectrum --nas 0.7", "simulate tomography --out o",
+    "simulate tomography --config x --seed -1", "analyze tomo in.csv --seed -1"])
+def test_inapplicable_or_invalid_flag_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
 
 
 def test_analyze_lifetime_zero_jitter_is_ideal_detector(tmp_path):
@@ -324,6 +369,20 @@ def test_lifetime_pipeline_convergence_exit(tmp_path):
     assert res["tau_ps"] == pytest.approx(300.0, rel=0.02)
 
 
+def test_simulated_lifetime_onset_at_eight_sigma(tmp_path):
+    # lifetime_hist.csv once put every count half a bin (2 ps) late: t0 read 56.3 ps
+    root = os.path.join(os.path.dirname(__file__), "..")
+    cfg = RunConfig.from_file(os.path.join(root, "baseline.cfg"))
+    for seed in (1, 2, 3):
+        out = str(tmp_path / f"s{seed}")
+        assert main(["simulate", "lifetime", "--config", os.path.join(root, "baseline.cfg"),
+                     "--seed", str(seed), "--out", out]) == 0
+        assert main(["analyze", "lifetime", os.path.join(out, "lifetime_hist.csv"),
+                     "--out", out]) == 0
+        t0 = json.load(open(os.path.join(out, "analyze_lifetime.json")))["t0_ps"]
+        assert abs(t0 - 8.0 * cfg.detectors.jitter_sigma) < 0.5, (seed, t0)
+
+
 _NO_SCIPY_SCRIPT = """
 import os, sys
 from tbsim.cli import main
@@ -392,3 +451,34 @@ def test_benchmark_tracer_wraps_existing_names():
         "kernels.pair_delay_counts.pairs", "kernels.telegraph.steps",
         "optics.detect.clicks_out", "optics.detect.photons_in",
         "optics.simulate.cycles", "rng.variates"]))
+
+
+_BENCH_ARGV_SCRIPT = """
+import cli_workloads
+from tbsim.cli import build_parser
+
+parser = build_parser()
+for workload in ("cli-pipeline", "cavity-design"):
+    for seed in (1, 901):
+        for argv in cli_workloads.commands(workload, seed, "out"):
+            parser.parse_args(argv)
+print("parsed")
+"""
+
+
+def test_benchmark_and_readme_commands_parse():
+    # the benchmark runs these argv and this config, and the README shows these
+    # commands; a flag or key change that breaks one must fail here
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "perfbench")])}
+    proc = subprocess.run([sys.executable, "-c", _BENCH_ARGV_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "parsed"
+    RunConfig.from_file(os.path.join(root, "perfbench", "inputs", "baseline.cfg"))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        lines = [line.split() for line in fh if line.startswith("tbsim ")]
+    assert len(lines) == 14
+    for line in lines:
+        build_parser().parse_args(line[1:])

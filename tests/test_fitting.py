@@ -101,7 +101,7 @@ def synthetic_lifetime_hist(tau, sigma, total, seed, bin_width=4.0):
     t = 200.0 + r.exponential(total, tau) + r.normal(total, sigma)
     edges = np.arange(-200.0, 200.0 + 12 * tau, bin_width)
     counts, _ = np.histogram(t, bins=edges)
-    return CoincidenceHistogram(bin_width, float(edges[0] + bin_width / 2),
+    return CoincidenceHistogram(bin_width, float(edges[0]),
                                 counts.astype(np.int64))
 
 
