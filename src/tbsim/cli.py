@@ -5,7 +5,8 @@ rerunning with the same inputs produces byte-identical data files. All
 writes go through a temp-file-then-rename step so a crashed run never
 leaves a partial artifact behind.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 non-convergence.
+Exit codes: 0 success, 2 config error, 3 data error (an unreadable input
+or an output that cannot be written included), 4 non-convergence.
 """
 
 from __future__ import annotations
@@ -44,15 +45,18 @@ class ConvergenceError(RuntimeError):
 
 def _write_atomic(path: str, data: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tbsim-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tbsim-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
 
 
 def _sha256_file(path: str) -> str:
@@ -79,7 +83,10 @@ class _Run:
         self.inputs = []
         self.outputs = []
         self.t0 = time.monotonic()
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:  # e.g. --out names an existing file
+            raise DataError(f"cannot write {out_dir}: {exc}") from None
 
     def add_input(self, path: str) -> None:
         self.inputs.append({"path": path, "sha256": _sha256_file(path)})
@@ -274,9 +281,15 @@ def _analyze_rabi(args, run: _Run) -> dict:
 
 def _analyze_budget(args, run: _Run) -> dict:
     mapping = parse_config(_read_text(args.input))
-    channels = sorted({k.split(".", 1)[0] for k in mapping})
     fields = ("count_rate", "rep_rate", "blinking", "p_emit",
               "eta_detector", "eta_fiber", "eta_setup")
+    if not mapping:
+        raise DataError("budget file defines no channel")
+    for key in mapping:
+        ch, _, field = key.partition(".")
+        if not ch or field not in fields:
+            raise DataError(f"budget file has unknown key {key!r}")
+    channels = sorted({k.split(".", 1)[0] for k in mapping})
     out = {}
     for ch in channels:
         try:

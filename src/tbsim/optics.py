@@ -194,8 +194,6 @@ def histogram_events(events: PhotonEvents, start_channel: int, stop_channel: int
     starts = np.sort(events.on_channel(start_channel))
     stops = np.sort(events.on_channel(stop_channel))
     origin, nbins = symmetric_bins(max_delay, bin_width)
-    if len(starts) == 0 or len(stops) == 0:
-        return CoincidenceHistogram(bin_width, origin, np.zeros(nbins, dtype=np.int64))
     counts = pair_delay_counts(starts, stops, origin, bin_width, nbins)
     return CoincidenceHistogram(bin_width, origin, counts)
 
@@ -236,8 +234,6 @@ def _detect(raw_channel: np.ndarray, raw_time: np.ndarray, detectors: DetectorMo
     tm = raw_time[keep]
     if detectors.jitter_sigma > 0 and len(tm):
         tm = tm + r_jit.normal(len(tm), detectors.jitter_sigma)
-    else:
-        r_jit.counter += len(tm)
 
     mean_dark = detectors.dark_count_rate * duration * 1e-12
     if mean_dark > 0:

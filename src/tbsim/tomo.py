@@ -8,65 +8,48 @@ gradient, and Monte-Carlo error bars.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import optics, rng
-from .qcore import BELL_PHI_PLUS, DensityMatrix, concurrence, fidelity_to_state
+from .qcore import BELL_PHI_PLUS, DensityMatrix, _as_matrix, concurrence, fidelity_to_state
 from .table import format_table, read_table
 
-PROJECTOR_LABELS = ("E", "L", "P", "Pi")
 
-_KETS = {
-    "E": np.array([1.0, 0.0], dtype=complex),
-    "L": np.array([0.0, 1.0], dtype=complex),
-    "P": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
-    "Pi": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
-}
+class _Label(NamedTuple):
+    """One single-photon projection of the analysis interferometer."""
 
-# arrival-slot acceptance of the analysis interferometer per projector:
+    ket: np.ndarray
+    slot_weight: float  # arrival-slot acceptance
+    phase: float        # analyzer phase
+    slot: int           # arrival slot counted: 0 early, 1 overlap, 2 late
+
+
 # time-basis projections use one path (amplitude 1/2 -> weight 1/4), the
 # superposition bases use the overlap slot (weight 1/2)
-SLOT_WEIGHTS = {"E": 0.25, "L": 0.25, "P": 0.5, "Pi": 0.5}
+_LABELS = {
+    "E": _Label(np.array([1.0, 0.0], dtype=complex), 0.25, 0.0, 0),
+    "L": _Label(np.array([0.0, 1.0], dtype=complex), 0.25, 0.0, 2),
+    "P": _Label(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0), 0.5, 0.0, 1),
+    "Pi": _Label(np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0), 0.5, np.pi / 2.0, 1),
+}
+
+# the canonical ordered schedule of 16 (xx, x) label pairs
+SETTINGS = tuple((a, b) for a in _LABELS for b in _LABELS)
+
+_KET_PAIRS = np.stack([np.kron(_LABELS[a].ket, _LABELS[b].ket) for a, b in SETTINGS])
+# the projectors |ket><ket| of SETTINGS, shape (16, 4, 4)
+PROJECTORS = _KET_PAIRS[:, :, None] * _KET_PAIRS[:, None, :].conj()
+PROJECTORS.flags.writeable = False
+
+# relative per-setting exposure of the interferometric analyzers
+SLOT_EXPOSURES = np.array([_LABELS[a].slot_weight * _LABELS[b].slot_weight
+                           for a, b in SETTINGS])
+SLOT_EXPOSURES.flags.writeable = False
 
 _COUNTS_COLUMNS = ("xx_proj", "x_proj", "count")
-
-
-@functools.lru_cache(maxsize=None)
-def _projector(xx: str, x: str) -> np.ndarray:
-    k = np.kron(_KETS[xx], _KETS[x])
-    op = np.outer(k, k.conj())
-    op.flags.writeable = False  # shared by every caller
-    return op
-
-
-@dataclass(frozen=True)
-class TomographySetting:
-    xx_projector: str
-    x_projector: str
-
-    def __post_init__(self):
-        for p in (self.xx_projector, self.x_projector):
-            if p not in PROJECTOR_LABELS:
-                raise ValueError(f"unknown projector label {p!r}")
-
-    def operator(self) -> np.ndarray:
-        """The projector |ket><ket| (read-only, built once per setting)."""
-        return _projector(self.xx_projector, self.x_projector)
-
-
-# the canonical ordered schedule of 16 settings
-SETTINGS = tuple(TomographySetting(a, b) for a in PROJECTOR_LABELS for b in PROJECTOR_LABELS)
-
-
-def slot_exposure_weights() -> np.ndarray:
-    """Relative per-setting exposure of the interferometric analyzers."""
-    return np.array(
-        [SLOT_WEIGHTS[s.xx_projector] * SLOT_WEIGHTS[s.x_projector]
-         for s in SETTINGS]
-    )
 
 
 @dataclass
@@ -94,54 +77,46 @@ class CountsTable:
     def to_csv(self) -> str:
         return format_table(
             _COUNTS_COLUMNS,
-            ((s.xx_projector, s.x_projector, n)
-             for s, n in zip(SETTINGS, self.counts.tolist())))
+            ((xx, x, n) for (xx, x), n in zip(SETTINGS, self.counts.tolist())))
 
     @classmethod
     def from_csv(cls, text: str) -> "CountsTable":
         _, (xx, x, n) = read_table(text, _COUNTS_COLUMNS, "counts", (str, str, int))
-        expected = [(s.xx_projector, s.x_projector) for s in SETTINGS]
         rows = {}
         for key, count in zip(zip(xx, x), n):
-            if key not in expected:
+            if key not in SETTINGS:
                 raise ValueError(f"counts file has unknown setting {key}")
             if key in rows:
                 raise ValueError(f"counts file lists setting {key} twice")
             rows[key] = count
-        missing = [key for key in expected if key not in rows]
+        missing = [key for key in SETTINGS if key not in rows]
         if missing:
             raise ValueError(f"counts file missing setting {missing[0]}")
-        return cls(counts=[rows[key] for key in expected])
+        return cls(counts=[rows[key] for key in SETTINGS])
 
 
-def expected_probability(rho, setting: TomographySetting) -> float:
-    """Born-rule probability Tr(rho P_xx x P_x)."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    return float(np.trace(m @ setting.operator()).real)
+# row k maps vec(rho) (row-major) to Tr(rho Pi_k)
+_DESIGN = PROJECTORS.transpose(0, 2, 1).reshape(16, 16)
+# vec(H) @ _DESIGN_T gives every Tr(Pi_k H) of a stack of matrices at once;
+# c @ _GRAD gives vec(sum_k c_k Pi_k), since Pi_k is Hermitian
+_DESIGN_T = _DESIGN.T
+_GRAD = _DESIGN.conj()
+
+
+def probabilities(rho) -> np.ndarray:
+    """Born-rule probabilities Tr(rho Pi_k) of every setting, shape (..., 16),
+    for one density matrix or a stack of them."""
+    m = _as_matrix(rho)
+    return (m.reshape(m.shape[:-2] + (16,)) @ _DESIGN_T).real
 
 
 def simulate_counts(rho, per_setting_cycles: int, efficiency_product: float, seed) -> CountsTable:
     """Poisson counts with uniform per-setting exposure."""
     if not (0.0 < efficiency_product <= 1.0):
         raise ValueError("efficiency_product must be in (0, 1]")
-    means = np.array(
-        [per_setting_cycles * efficiency_product * expected_probability(rho, s)
-         for s in SETTINGS]
-    )
+    means = per_setting_cycles * efficiency_product * probabilities(rho)
     r = rng.CounterRng(seed, 60)
     return CountsTable(counts=r.poisson(means))
-
-
-def _design_matrix() -> np.ndarray:
-    # row k maps vec(rho) (row-major) to Tr(rho Pi_k)
-    return np.stack([s.operator().T.reshape(16) for s in SETTINGS])
-
-
-_DESIGN = _design_matrix()
-# vec(H) @ _DESIGN_T gives every Tr(Pi_k H) of a stack of matrices at once;
-# c @ _GRAD gives vec(sum_k c_k Pi_k), since Pi_k is Hermitian
-_DESIGN_T = _DESIGN.T
-_GRAD = _DESIGN.conj()
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -194,8 +169,7 @@ def poisson_log_likelihood(table: CountsTable, rho) -> float:
 
     The scale s is its profile-likelihood optimum sum(n) / sum(w p).
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    probs = np.clip((_DESIGN @ m.reshape(16)).real, 1e-15, None)
+    probs = np.clip(probabilities(rho), 1e-15, None)
     wp = table.exposures * probs
     scale = table.counts.sum() / wp.sum()
     mu = np.clip(scale * wp, 1e-300, None)
@@ -316,8 +290,7 @@ def _fit(counts: np.ndarray, exposures: np.ndarray):
     """
     n = counts.astype(float)
     rho0 = project_to_physical(_linear_inversion(n / exposures))
-    probs = (rho0.reshape(-1, 16) @ _DESIGN_T).real
-    scale = n.sum(axis=1) / np.sum(exposures * probs, axis=1)
+    scale = n.sum(axis=1) / np.sum(exposures * probabilities(rho0), axis=1)
     res = minimize(n, exposures, scale[:, None, None] * rho0)
     rho = res.x / np.trace(res.x, axis1=-2, axis2=-1).real[:, None, None]
     return _hermitian_part(rho), res.converged
@@ -389,10 +362,6 @@ def reconstruct(table: CountsTable, mc_runs: int = 50, seed=0) -> Reconstruction
     )
 
 
-_ANALYZER_PHASE = {"E": 0.0, "L": 0.0, "P": 0.0, "Pi": np.pi / 2.0}
-_ANALYZER_SLOT = {"E": 0, "L": 2, "P": 1, "Pi": 1}
-
-
 def simulate_tomography_via_events(emitter, state, detectors, cycles_per_setting: int,
                                    seed, delay: float = 3000.0,
                                    window: float = 500.0) -> CountsTable:
@@ -403,13 +372,13 @@ def simulate_tomography_via_events(emitter, state, detectors, cycles_per_setting
     the projectors.  Exposures carry the slot acceptance weights.
     """
     counts = np.empty(16, dtype=np.int64)
-    for k, s in enumerate(SETTINGS):
-        an_xx = optics.Interferometer(delay=delay, phase=_ANALYZER_PHASE[s.xx_projector])
-        an_x = optics.Interferometer(delay=delay, phase=_ANALYZER_PHASE[s.x_projector])
+    for k, (xx, x) in enumerate(SETTINGS):
+        an_xx = optics.Interferometer(delay=delay, phase=_LABELS[xx].phase)
+        an_x = optics.Interferometer(delay=delay, phase=_LABELS[x].phase)
         events = optics.simulate_timebin_run(
             emitter, state, (an_xx, an_x), detectors, cycles_per_setting,
             rng.stream_seed(seed, 1000 + k),
         )
         slots = optics.timebin_slot_counts(events, emitter.rep_period, delay, window)
-        counts[k] = slots[_ANALYZER_SLOT[s.xx_projector], _ANALYZER_SLOT[s.x_projector]]
-    return CountsTable(counts=counts, exposures=slot_exposure_weights())
+        counts[k] = slots[_LABELS[xx].slot, _LABELS[x].slot]
+    return CountsTable(counts=counts, exposures=SLOT_EXPOSURES)

@@ -61,11 +61,10 @@ def test_criterion_1_entanglement_closure():
 # 2 -- tomography exactness ------------------------------------------------
 
 def test_criterion_2_tomography_exactness():
-    settings = tomo.SETTINGS
     worst = 0.0
     for i in range(100):
         rho = random_physical_rho(1000 + i)
-        probs = np.array([tomo.expected_probability(rho, s) for s in settings])
+        probs = tomo.probabilities(rho)
         table = tomo.CountsTable(
             counts=np.rint(probs * 1e12).astype(np.int64),
             exposures=np.full(16, 1e12))

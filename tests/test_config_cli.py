@@ -148,8 +148,8 @@ _BUDGET = {"count_rate": "61000", "rep_rate": "80e6", "blinking": "0.625",
            "eta_setup": "0.12"}
 
 
-def _budget(**override):
-    return "".join(f"xx.{k} = {v}\n" for k, v in {**_BUDGET, **override}.items())
+def _budget(channel="xx", **override):
+    return "".join(f"{channel}.{k} = {v}\n" for k, v in {**_BUDGET, **override}.items())
 
 
 def _rising_hist():
@@ -196,6 +196,11 @@ _MALFORMED = {
     "budget-out-of-range": ("analyze budget", _budget(blinking="1.5"), [], 3),
     "budget-nan-count-rate": ("analyze budget", _budget(count_rate="nan"), [], 3, "rates"),
     "budget-inf-rep-rate": ("analyze budget", _budget(rep_rate="inf"), [], 3, "rates"),
+    "budget-no-keys": ("analyze budget", "# no channels\n", [], 3, "no channel"),
+    "budget-unknown-key": ("analyze budget", _budget(eta_fibre="0.5"), [], 3,
+                           "'xx.eta_fibre'"),
+    "budget-key-without-channel": ("analyze budget", _budget(channel=""), [], 3,
+                                   "'.count_rate'"),
     "hom-visibility-above-1": ("simulate hom", "hom.mutual_visibility = 1.5\n", [], 2),
     "autocorr-negative-g2": ("simulate autocorr", "autocorr.g2_target = -0.5\n", [], 2),
     "tomography-negative-cycles": (
@@ -289,6 +294,28 @@ def test_analyze_lifetime_zero_jitter_is_ideal_detector(tmp_path):
     assert main(["analyze", "lifetime", path, "--jitter-fwhm", "0", "--out", ana]) == 0
     res = json.load(open(os.path.join(ana, "analyze_lifetime.json")))
     assert res["tau_ps"] == pytest.approx(300.0, rel=0.01)
+
+
+@pytest.mark.parametrize("argv", [
+    "simulate rabi --config {cfg}", "cavity spectrum", "analyze budget {budget}"])
+def test_out_naming_a_file_exits_3(tmp_path, capsys, argv):
+    # a permission-denied directory would take the same path, but root can write anywhere
+    budget = os.path.join(os.path.dirname(__file__), "..", "budget.cfg")
+    cfg = write(tmp_path, "run.cfg", MINI_CFG)
+    afile = write(tmp_path, "afile", "")
+    assert main(argv.format(cfg=cfg, budget=budget).split() + ["--out", afile]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot write {afile}: ") and err.count("\n") == 1, err
+
+
+def test_output_that_is_a_directory_exits_3(tmp_path, capsys):
+    cfg = write(tmp_path, "run.cfg", MINI_CFG)
+    out = tmp_path / "o"
+    (out / "rabi_scan.csv").mkdir(parents=True)
+    assert main(["simulate", "rabi", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot write ") and err.count("\n") == 1, err
+    assert os.listdir(out) == ["rabi_scan.csv"]  # no temp file left behind
 
 
 def test_missing_input_exits_3(tmp_path):

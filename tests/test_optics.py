@@ -150,6 +150,10 @@ def test_histogram_events_vs_brute_force():
     want = sum(1 for a in starts for b in stops if abs(b - a) <= 205.0)
     assert h.total() == want
     assert h.peak_areas([40.0, -60.0], 5.0).tolist() == [1, 1]  # 40 - 0, 40 - 100
+    # channel 2 has no events: as starts or as stops, every bin is empty
+    for start, stop in ((0, 2), (2, 1)):
+        empty = histogram_events(ev, start, stop, bin_width=10.0, max_delay=200.0)
+        assert (empty.origin, empty.counts.tolist()) == (h.origin, [0] * len(h.counts))
 
 
 # --- detection chain ---------------------------------------------------------

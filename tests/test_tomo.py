@@ -14,11 +14,10 @@ from test_qcore import random_physical_rho
 def test_sixteen_settings_product_order():
     settings = tomo.SETTINGS
     assert len(settings) == 16
-    labels = [(s.xx_projector, s.x_projector) for s in settings]
-    assert len(set(labels)) == 16
-    assert labels[0] == ("E", "E") and labels[-1] == ("Pi", "Pi")
-    for s in settings:
-        op = s.operator()
+    assert len(set(settings)) == 16
+    assert settings[0] == ("E", "E") and settings[-1] == ("Pi", "Pi")
+    assert tomo.PROJECTORS.shape == (16, 4, 4)
+    for op in tomo.PROJECTORS:
         assert np.allclose(op, op.conj().T)
         assert np.allclose(op @ op, op, atol=1e-12)  # rank-1 projector
         assert np.trace(op).real == pytest.approx(1.0)
@@ -26,24 +25,34 @@ def test_sixteen_settings_product_order():
 
 def test_completeness_of_basis_pairs():
     # E + L projectors sum to identity on each qubit
-    by = {(s.xx_projector, s.x_projector): s.operator()
-          for s in tomo.SETTINGS}
+    by = dict(zip(tomo.SETTINGS, tomo.PROJECTORS))
     total = sum(by[(a, b)] for a in ("E", "L") for b in ("E", "L"))
     assert np.allclose(total, np.eye(4), atol=1e-12)
 
 
-def test_expected_probability_against_manual_trace():
+def test_probabilities_against_manual_trace():
     rho = random_physical_rho(0)
     kets = {"E": np.array([1.0, 0.0]), "L": np.array([0.0, 1.0]),
             "P": np.array([1.0, 1.0]) / np.sqrt(2.0), "Pi": np.array([1.0, 1.0j]) / np.sqrt(2.0)}
-    for s in tomo.SETTINGS:
-        ket = np.kron(kets[s.xx_projector], kets[s.x_projector])
+    for (xx, x), p in zip(tomo.SETTINGS, tomo.probabilities(rho)):
+        ket = np.kron(kets[xx], kets[x])
         want = np.real(ket.conj() @ rho @ ket)
-        assert tomo.expected_probability(rho, s) == pytest.approx(want, abs=1e-12)
+        assert p == pytest.approx(want, abs=1e-12)
+
+
+def test_probabilities_batched_and_read_only():
+    with pytest.raises(ValueError):
+        tomo.PROJECTORS[0, 0, 0] = 0.0
+    rhos = np.stack([random_physical_rho(seed) for seed in range(6)]).reshape(2, 3, 4, 4)
+    stacked = tomo.probabilities(rhos)
+    assert stacked.shape == (2, 3, 16)
+    for i in range(2):
+        for j in range(3):
+            assert np.max(np.abs(stacked[i, j] - tomo.probabilities(rhos[i, j]))) < 1e-15
 
 
 def test_exposure_weights():
-    w = tomo.slot_exposure_weights()
+    w = tomo.SLOT_EXPOSURES
     assert w.shape == (16,)
     assert set(np.round(w, 10)) == {1 / 16, 1 / 8, 1 / 4}
     # E/E has both photons in quarter-weight slots
@@ -59,9 +68,8 @@ def test_linear_inversion_exact_on_noise_free_probabilities():
     worst = 0.0
     for seed in range(100):
         rho = random_physical_rho(seed)
-        counts = np.array([
-            round(scale * tomo.expected_probability(rho, s))
-            for s in tomo.SETTINGS], dtype=np.int64)
+        counts = np.array([round(scale * p) for p in tomo.probabilities(rho)],
+                          dtype=np.int64)
         table = tomo.CountsTable(counts=counts, exposures=np.full(16, scale))
         rec = tomo.linear_reconstruct(table)
         worst = max(worst, float(np.max(np.abs(rec - rho))))
@@ -71,10 +79,9 @@ def test_linear_inversion_exact_on_noise_free_probabilities():
 def test_linear_inversion_respects_exposures():
     rho = ideal_timebin_density(TimebinStateModel(visibility=0.6)).matrix
     scale = 1e10
-    w = tomo.slot_exposure_weights()
-    counts = np.array([
-        round(scale * w[k] * tomo.expected_probability(rho, s))
-        for k, s in enumerate(tomo.SETTINGS)], dtype=np.int64)
+    w = tomo.SLOT_EXPOSURES
+    counts = np.array([round(scale * wk * p) for wk, p in zip(w, tomo.probabilities(rho))],
+                      dtype=np.int64)
     table = tomo.CountsTable(counts=counts, exposures=w * scale)
     assert np.max(np.abs(tomo.linear_reconstruct(table) - rho)) < 1e-8
 
@@ -135,8 +142,8 @@ def test_simulate_counts_deterministic_and_unbiased():
     a = tomo.simulate_counts(rho, 100000, 0.25, seed=5)
     b = tomo.simulate_counts(rho, 100000, 0.25, seed=5)
     assert np.array_equal(a.counts, b.counts)
-    for k, s in enumerate(tomo.SETTINGS):
-        mean = 100000 * 0.25 * tomo.expected_probability(rho, s)
+    for k, p in enumerate(tomo.probabilities(rho)):
+        mean = 100000 * 0.25 * p
         assert abs(a.counts[k] - mean) < 5 * np.sqrt(mean + 1)
 
 
@@ -199,7 +206,7 @@ def lbfgs_log_likelihood(table):
         return m
 
     rho0 = tomo.project_to_physical(tomo.linear_reconstruct(table))
-    ops = np.stack([s.operator() for s in tomo.SETTINGS])
+    ops = tomo.PROJECTORS
     w, n = table.exposures, table.counts.astype(float)
     scale0 = n.sum() / np.sum(w * np.real(np.einsum("kij,ji->k", ops, rho0)))
     c0 = np.linalg.cholesky(scale0 * (rho0 + 1e-8 * np.eye(4)) / (1.0 + 4e-8))
