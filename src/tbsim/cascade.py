@@ -143,11 +143,13 @@ def two_pair_prob_for_g2(g2_target: float, params: EmitterParams) -> float:
     """Residual-pair probability that yields a given autocorrelation g2(0).
 
     In this model g2(0) = 2 p2 / (f p (1 + p2)^2) with f the blinking ON
-    fraction and p the per-pulse emission probability; solved by fixed
-    point.
+    fraction and p the per-pulse emission probability: the smaller root of
+    a (1 + p2)^2 = p2 with a = g2 f p / 2, in a cancellation-free form. No
+    p2 < 1 reaches a target of 1 / (2 f p) or more.
     """
     fp = params.blinking_on_fraction * params.p_emit_pi
-    p2 = g2_target * fp / 2.0
-    for _ in range(8):
-        p2 = g2_target * fp * (1.0 + p2) ** 2 / 2.0
-    return p2
+    a = g2_target * fp / 2.0
+    if not 4.0 * a < 1.0:
+        raise ValueError(f"g2(0) {g2_target} is at or above this emitter's maximum "
+                         f"1 / (2 f p) = {1.0 / (2.0 * fp):.6g}")
+    return float(2.0 * a / ((1.0 - 2.0 * a) + np.sqrt(1.0 - 4.0 * a)))

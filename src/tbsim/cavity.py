@@ -1,8 +1,9 @@
 """One-dimensional transfer-matrix model of the DBR micro-cavity.
 
 Reflectivity/transmissivity spectra, cavity resonance and Q, a Gaussian
-lateral-mode Purcell and extraction estimate for the self-aligned defect,
-and the photon-budget ledger.
+lateral-mode Purcell and extraction estimate for the self-aligned defect
+(closed forms on one `CavityMode` analysis of the stack), and the
+photon-budget ledger.
 """
 
 from __future__ import annotations
@@ -116,11 +117,6 @@ def transfer_matrix_spectrum(stack: LayerStack, wavelengths):
     return big_r, big_t
 
 
-def reflection_phase(stack: LayerStack, wavelength: float) -> float:
-    r, _ = _amplitudes(stack, [wavelength])
-    return float(np.angle(r[0]))
-
-
 class ResonanceNotFound(ValueError):
     pass
 
@@ -177,20 +173,6 @@ def cavity_resonance_and_q(stack: LayerStack) -> tuple[float, float]:
     return lam0, lam0 / fwhm
 
 
-def mirror_penetration_depth(mirror: LayerStack, wavelength: float) -> float:
-    """Field penetration depth from the reflection-phase dispersion (nm).
-
-    L_pen = (lambda^2 / (4 pi n_inc)) |d phi_r / d lambda|, evaluated for
-    the mirror seen from the cavity medium (the stack's ambient index).
-    """
-    dl = 0.01
-    phi_plus = reflection_phase(mirror, wavelength + dl)
-    phi_minus = reflection_phase(mirror, wavelength - dl)
-    dphi = np.unwrap([phi_minus, phi_plus])
-    slope = (dphi[1] - dphi[0]) / (2.0 * dl)
-    return float(wavelength**2 / (4.0 * np.pi * mirror.n_ambient) * abs(slope))
-
-
 def split_cavity_stack(stack: LayerStack):
     """(top mirror, spacer, bottom mirror) around the thickest layer."""
     i_spacer = int(np.argmax([layer.thickness for layer in stack.layers]))
@@ -204,12 +186,40 @@ def split_cavity_stack(stack: LayerStack):
     return top, spacer, bottom
 
 
-def effective_cavity_length(stack: LayerStack, wavelength: float) -> float:
-    """Spacer thickness plus both mirror penetration depths (nm)."""
+def _mirror_penetration_and_t(mirror: LayerStack, wavelength: float):
+    """Field penetration depth (nm) and transmissivity T of one mirror.
+
+    L_pen = (lambda^2 / (4 pi n_inc)) |d phi_r / d lambda|, evaluated for
+    the mirror seen from the cavity medium (the stack's ambient index);
+    one call at lambda -+ 0.01 nm gives the slope and at lambda gives T.
+    """
+    dl = 0.01
+    r, t = _amplitudes(mirror, [wavelength - dl, wavelength, wavelength + dl])
+    dphi = np.unwrap(np.angle(r[::2]))
+    slope = (dphi[1] - dphi[0]) / (2.0 * dl)
+    big_t = (mirror.n_substrate / mirror.n_ambient) * np.abs(t) ** 2
+    return float(wavelength**2 / (4.0 * np.pi * mirror.n_ambient) * abs(slope)), big_t[1]
+
+
+@dataclass(frozen=True)
+class CavityMode:
+    """The stack's resonance, analysed once for Purcell and extraction."""
+
+    wavelength: float  # nm, lambda0
+    q: float
+    n_cavity: float  # spacer index
+    effective_length: float  # nm, spacer plus both mirror penetration depths
+    top_share: float  # photon escape share through the top mirror, T_top / (T_top + T_bot)
+
+
+def cavity_mode(stack: LayerStack) -> CavityMode:
+    """Resonance and Q, spacer and both mirrors of the stack, each evaluated once."""
+    lam0, q = cavity_resonance_and_q(stack)
     top, spacer, bottom = split_cavity_stack(stack)
-    return (spacer.thickness
-            + mirror_penetration_depth(top, wavelength)
-            + mirror_penetration_depth(bottom, wavelength))
+    l_top, t_top = _mirror_penetration_and_t(top, lam0)
+    l_bot, t_bot = _mirror_penetration_and_t(bottom, lam0)
+    return CavityMode(lam0, q, spacer.refractive_index, spacer.thickness + l_top + l_bot,
+                      float(t_top / (t_top + t_bot)))
 
 
 def mode_waist(defect: DefectModel) -> float:
@@ -222,46 +232,28 @@ def mode_waist(defect: DefectModel) -> float:
     return float(0.5 * defect.diameter / np.sqrt(1.0 + defect.height / 20.0))
 
 
-def purcell_estimate(q: float, defect: DefectModel, wavelength: float,
-                     n_cavity: float, effective_length: float) -> float:
+def purcell(mode: CavityMode, defect: DefectModel) -> float:
     """F_p = (3 / 4 pi^2) (lambda/n)^3 Q / V with V = (pi/4) w^2 L_eff."""
-    if min(q, wavelength, n_cavity, effective_length) <= 0:
-        raise ValueError("all inputs must be positive")
     w = mode_waist(defect)
-    v_mode = (np.pi / 4.0) * w**2 * effective_length
-    return float(3.0 / (4.0 * np.pi**2) * (wavelength / n_cavity) ** 3 * q / v_mode)
+    v_mode = (np.pi / 4.0) * w**2 * mode.effective_length
+    return float(3.0 / (4.0 * np.pi**2) * (mode.wavelength / mode.n_cavity) ** 3
+                 * mode.q / v_mode)
 
 
-def top_emission_fraction(stack: LayerStack, wavelength: float) -> float:
-    """Photon escape share through the top mirror: T_top / (T_top + T_bot)."""
-    top, _, bottom = split_cavity_stack(stack)
-    _, t_top = transfer_matrix_spectrum(top, [wavelength])
-    _, t_bot = transfer_matrix_spectrum(bottom, [wavelength])
-    return float(t_top[0] / (t_top[0] + t_bot[0]))
-
-
-def purcell(stack: LayerStack, defect: DefectModel, lam0: float, q: float) -> float:
-    """Purcell factor of the stack's resonance `(lam0, q)` in its spacer's index."""
-    _, spacer, _ = split_cavity_stack(stack)
-    return purcell_estimate(q, defect, lam0, spacer.refractive_index,
-                            effective_cavity_length(stack, lam0))
-
-
-def extraction_efficiency(defect: DefectModel, na: float, stack: LayerStack,
-                          lam0: float, q: float) -> float:
+def extraction_efficiency(mode: CavityMode, defect: DefectModel, na: float) -> float:
     """Collection efficiency into an objective of the given NA.
 
     Product of the cavity-mode coupling beta = F_p / (F_p + 1), the
     top-mirror escape share, and the fraction of the Gaussian far field
-    inside the NA cone. `(lam0, q)` is the stack's `cavity_resonance_and_q`.
+    inside the NA cone.
     """
     if not (0.0 < na < 1.0):
         raise ValueError("NA must be in (0, 1)")
-    f_p = purcell(stack, defect, lam0, q)
+    f_p = purcell(mode, defect)
     beta = f_p / (f_p + 1.0)
-    theta_div = lam0 / (np.pi * mode_waist(defect))
+    theta_div = mode.wavelength / (np.pi * mode_waist(defect))
     cone = 1.0 - np.exp(-2.0 * (na / theta_div) ** 2)
-    return float(beta * top_emission_fraction(stack, lam0) * cone)
+    return float(beta * mode.top_share * cone)
 
 
 @dataclass(frozen=True)
@@ -289,9 +281,10 @@ def efficiency_budget(b: EfficiencyBudget) -> dict:
     """First-lens collection efficiency ledger, term by term."""
     denominator = (b.rep_rate * b.blinking * b.p_emit * b.eta_detector
                    * b.eta_fiber * b.eta_setup)
-    if denominator == 0:
-        raise ValueError("budget denominator is zero")
-    eta = b.count_rate / denominator
+    eta = b.count_rate / denominator if denominator > 0 else np.inf
+    if not 0.0 < eta < np.inf:  # the quotient or the denominator over- or underflows
+        raise ValueError(f"first-lens efficiency {b.count_rate!r} / {denominator!r} "
+                         "is not a positive finite number")
     return {
         "count_rate_per_s": b.count_rate,
         "rep_rate_hz": b.rep_rate,

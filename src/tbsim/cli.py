@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, cavity, fitting, optics, tomo
 from .cascade import two_pair_prob_for_g2, two_photon_rabi_population
-from .config import RunConfig, parse_config, parse_seed
+from .config import ConfigError, RunConfig, parse_config, parse_seed
 from .qcore import purity
 from .rng import CounterRng
 from .table import format_table, read_table
@@ -138,9 +138,11 @@ def _simulate_hom(cfg: RunConfig, run: _Run) -> None:
 
 
 def _simulate_autocorr(cfg: RunConfig, run: _Run) -> None:
-    emitter = dataclasses.replace(
-        cfg.emitter,
-        two_pair_prob=two_pair_prob_for_g2(cfg.autocorr_g2_target, cfg.emitter))
+    try:
+        two_pair_prob = two_pair_prob_for_g2(cfg.autocorr_g2_target, cfg.emitter)
+    except ValueError as exc:
+        raise ConfigError("autocorr.g2_target", str(exc)) from None
+    emitter = dataclasses.replace(cfg.emitter, two_pair_prob=two_pair_prob)
     events = optics.simulate_autocorrelation(
         emitter, cfg.autocorr_photon, cfg.detectors, cfg.autocorr_cycles,
         cfg.seed)
@@ -281,8 +283,7 @@ def _analyze_rabi(args, run: _Run) -> dict:
 
 def _analyze_budget(args, run: _Run) -> dict:
     mapping = parse_config(_read_text(args.input))
-    fields = ("count_rate", "rep_rate", "blinking", "p_emit",
-              "eta_detector", "eta_fiber", "eta_setup")
+    fields = [f.name for f in dataclasses.fields(cavity.EfficiencyBudget)]
     if not mapping:
         raise DataError("budget file defines no channel")
     for key in mapping:
@@ -338,28 +339,25 @@ def cmd_cavity(args) -> int:
     if args.config:
         run.add_input(args.config)
 
-    lam0, q = cavity.cavity_resonance_and_q(stack)
+    mode = cavity.cavity_mode(stack)
+    resonance = {"wavelength_nm": mode.wavelength, "quality_factor": mode.q}
     if args.what == "spectrum":
         lam = np.linspace(850.0, 1000.0, 3001)
         big_r, big_t = cavity.transfer_matrix_spectrum(stack, lam)
         run.write("spectrum.csv", format_table(
             ("wavelength_nm", "reflectivity", "transmissivity"),
             zip(lam.tolist(), big_r.tolist(), big_t.tolist())))
-        run.write("resonance.json", _json_dumps(
-            {"wavelength_nm": lam0, "quality_factor": q}))
+        run.write("resonance.json", _json_dumps(resonance))
     elif args.what == "purcell":
         defects = [cavity.DefectModel(height=h, diameter=defect.diameter)
                    for h in args.heights]
         run.write("purcell.csv", format_table(
             ("height_nm", "waist_nm", "purcell"),
-            ((d.height, cavity.mode_waist(d), cavity.purcell(stack, d, lam0, q))
-             for d in defects)))
-    else:  # efficiency
-        etas = {f"{na:g}": cavity.extraction_efficiency(defect, na, stack, lam0, q)
-                for na in args.nas}
+            ((d.height, cavity.mode_waist(d), cavity.purcell(mode, d)) for d in defects)))
+    else:  # efficiency; repr keys keep NAs that differ in the 7th digit apart
+        etas = {repr(na): cavity.extraction_efficiency(mode, defect, na) for na in args.nas}
         run.write("efficiency.json", _json_dumps(
-            {"wavelength_nm": lam0, "quality_factor": q,
-             "extraction_efficiency": etas}))
+            {**resonance, "extraction_efficiency": etas}))
     run.finish()
     return EXIT_OK
 

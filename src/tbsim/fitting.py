@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import FWHM_PER_SIGMA, CoincidenceHistogram, hom_distinguishable_fixture
+from .optics import FWHM_PER_SIGMA, CoincidenceHistogram
 
 
 @dataclass
@@ -92,28 +92,23 @@ class HomPeaks:
     visibility: float
 
 
-_HOM_FIXTURE = hom_distinguishable_fixture()
-
-
 def hom_five_peak(hist: CoincidenceHistogram, delay: float) -> HomPeaks:
     """Integrate the five-peak HOM cluster and normalize the central peak.
 
     Each peak is integrated over +-delay/3. The distinguishable-case
-    expectation for peak A comes from the frozen path-combination fixture,
-    scaled by the measured B and C areas; visibility uses the 1 - 2 g2
-    convention.
+    expectation for peak A is the measured B and C area over 1.5: summed
+    over both photons' paths and detectors, the peaks at -2..2 delays weigh
+    1:2:4:2:1. Visibility uses the 1 - 2 g2 convention.
     """
     if not (np.isfinite(delay) and delay > 0):
         raise ValueError(f"delay {delay} ps must be a positive finite number")
     ks = (-2, -1, 0, 1, 2)
     areas = {k: float(a) for k, a in
              zip(ks, hist.peak_areas(np.array(ks) * delay, delay / 3.0).tolist())}
-    w = _HOM_FIXTURE
-    side_weight = w[-2] + w[-1] + w[1] + w[2]
     side_area = areas[-2] + areas[-1] + areas[1] + areas[2]
     if side_area <= 0:
         raise ValueError("no side-peak counts; cannot normalize")
-    expected_a = side_area * w[0] / side_weight
+    expected_a = side_area / 1.5
     g2 = areas[0] / expected_a
     err = g2 * np.sqrt(max(areas[0], 1.0) / max(areas[0], 1.0) ** 2 + 1.0 / side_area)
     return HomPeaks(

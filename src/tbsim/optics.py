@@ -432,38 +432,6 @@ def simulate_hom_run(emitter: EmitterParams, analyzer: Interferometer,
     return _detect(raw_ch, raw_tm, detectors, cycles * pair_period, seed)
 
 
-def hom_distinguishable_fixture() -> dict:
-    """Exhaustive path-combination enumeration of the five-peak normalization.
-
-    Enumerates the 4 path combinations x output-detector assignments (each
-    photon surviving its output port).  Side peaks accumulate cross-detector
-    coincidence weight; the central peak accumulates the full overlapping
-    pair flux (same- and cross-detector alike), the classical normalization
-    under which two distinguishable photons on a beamsplitter read out as
-    g2 = 0.5.  Returns relative areas keyed by peak delay in units of the
-    analyzer delay.
-    """
-    weights = {-2: 0.0, -1: 0.0, 0: 0.0, 1: 0.0, 2: 0.0}
-    for path0 in (0, 1):
-        for path1 in (0, 1):
-            arrival0 = path0  # photon 0 emitted at 0
-            arrival1 = 1 + path1  # photon 1 emitted one delay later
-            overlap = arrival0 == arrival1
-            for d0 in (0, 1):
-                for d1 in (0, 1):
-                    if d0 == d1 and not overlap:
-                        continue  # same detector: no coincidence
-                    # start on detector 0, stop on detector 1
-                    if d0 == 0:
-                        tau = arrival1 - arrival0
-                    else:
-                        tau = arrival0 - arrival1
-                    weights[tau] += (0.25  # path combination
-                                     * 0.25  # port survival of both photons
-                                     * 0.25)  # detector assignment
-    return weights
-
-
 # --- autocorrelation -------------------------------------------------------
 
 def simulate_autocorrelation(emitter: EmitterParams, photon: str,

@@ -199,8 +199,8 @@ def test_criterion_6_lifetimes():
 # 7 -- cavity -------------------------------------------------------------------
 
 def test_criterion_7_cavity():
-    stack = cavity.make_cavity_stack()
-    lam0, q = cavity.cavity_resonance_and_q(stack)
+    mode = cavity.cavity_mode(cavity.make_cavity_stack())
+    lam0, q = mode.wavelength, mode.q
 
     mirror_layers = []
     for _ in range(24):
@@ -221,8 +221,8 @@ def test_criterion_7_cavity():
         worst = max(worst, float(np.max(np.abs(r + t - 1.0))))
 
     d = cavity.DefectModel(height=20.0)
-    eta_070 = cavity.extraction_efficiency(d, 0.70, stack, lam0, q)
-    eta_062 = cavity.extraction_efficiency(d, 0.62, stack, lam0, q)
+    eta_070 = cavity.extraction_efficiency(mode, d, 0.70)
+    eta_062 = cavity.extraction_efficiency(mode, d, 0.62)
 
     report(7, "cavity", [
         (abs(lam0 - 936.0) < 2.0, f"resonance {lam0:.2f} nm (936±2), Q={q:.0f}"),

@@ -93,11 +93,15 @@ def test_merge_records_sorted():
 
 def test_g2_inversion_fixed_point():
     p = EmitterParams()
-    for g2 in (0.005, 0.016, 0.025, 0.1):
+    f = p.blinking_on_fraction * p.p_emit_pi  # g2(0) cannot reach 1 / (2 f) = 1.2308
+    for g2 in (0.005, 0.016, 0.025, 0.1, 0.5, 1.0, 1.2):
         p2 = two_pair_prob_for_g2(g2, p)
-        f = p.blinking_on_fraction * p.p_emit_pi
+        assert 0.0 < p2 < 1.0
         implied = 2.0 * p2 / (f * (1.0 + p2) ** 2)
-        assert implied == pytest.approx(g2, rel=1e-10)
+        assert implied == pytest.approx(g2, rel=1e-12, abs=0)
+    for g2 in (1.0 / (2.0 * f), 2.0):
+        with pytest.raises(ValueError, match="maximum"):
+            two_pair_prob_for_g2(g2, p)
 
 
 @given(st.integers(min_value=0, max_value=10**9),

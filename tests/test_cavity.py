@@ -1,17 +1,17 @@
 """Transfer-matrix optics: energy conservation, quarter-wave mirror oracle,
 resonance extraction, and the efficiency ledger."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tbsim import cavity
 from tbsim.cavity import (DefectModel, EfficiencyBudget, Layer, LayerStack,
-                          ResonanceNotFound, cavity_resonance_and_q,
-                          characteristic_matrix, effective_cavity_length,
-                          efficiency_budget, extraction_efficiency,
-                          make_cavity_stack, mirror_penetration_depth,
-                          mode_waist, purcell_estimate, split_cavity_stack,
-                          top_emission_fraction, transfer_matrix_spectrum)
+                          ResonanceNotFound, cavity_mode, cavity_resonance_and_q,
+                          characteristic_matrix, efficiency_budget,
+                          extraction_efficiency, make_cavity_stack, mode_waist,
+                          purcell, split_cavity_stack, transfer_matrix_spectrum)
 
 
 def quarter_wave_mirror(n_high, n_low, pairs, lam0, n_substrate):
@@ -134,9 +134,9 @@ def test_split_and_penetration():
     assert len(top.layers) == 10 and len(bottom.layers) == 48
     lam0, _ = cavity_resonance_and_q(st)
     for mirror in (top, bottom):
-        p = mirror_penetration_depth(mirror, lam0)
+        p, _ = cavity._mirror_penetration_and_t(mirror, lam0)
         assert 50.0 < p < 2000.0
-    l_eff = effective_cavity_length(st, lam0)
+    l_eff = cavity_mode(st).effective_length
     assert l_eff > spacer.thickness
 
 
@@ -149,29 +149,25 @@ def test_mode_waist_monotone_in_height():
 
 def test_purcell_estimate_scaling():
     d = DefectModel()
-    f1 = purcell_estimate(100.0, d, 936.0, 3.46, 850.0)
-    f2 = purcell_estimate(200.0, d, 936.0, 3.46, 850.0)
+    mode = cavity_mode(make_cavity_stack())
+    f1 = purcell(mode, d)
+    f2 = purcell(dataclasses.replace(mode, q=2 * mode.q), d)
     assert f2 == pytest.approx(2.0 * f1)
-    with pytest.raises(ValueError):
-        purcell_estimate(-1.0, d, 936.0, 3.46, 850.0)
 
 
 def test_top_emission_fraction_favors_thin_mirror():
-    st = make_cavity_stack()
-    lam0, _ = cavity_resonance_and_q(st)
-    frac = top_emission_fraction(st, lam0)
+    frac = cavity_mode(make_cavity_stack()).top_share
     assert 0.5 < frac < 1.0
 
 
 def test_extraction_efficiency_monotone_in_na():
-    st = make_cavity_stack()
-    lam0, q = cavity_resonance_and_q(st)
+    mode = cavity_mode(make_cavity_stack())
     d = DefectModel()
-    etas = [extraction_efficiency(d, na, st, lam0, q)
+    etas = [extraction_efficiency(mode, d, na)
             for na in (0.4, 0.62, 0.7, 0.85)]
     assert all(a < b for a, b in zip(etas, etas[1:]))
     with pytest.raises(ValueError):
-        extraction_efficiency(d, 1.5, st, lam0, q)
+        extraction_efficiency(mode, d, 1.5)
 
 
 def test_budget_validation_and_exact_arithmetic():

@@ -201,8 +201,18 @@ _MALFORMED = {
                            "'xx.eta_fibre'"),
     "budget-key-without-channel": ("analyze budget", _budget(channel=""), [], 3,
                                    "'.count_rate'"),
+    "budget-efficiency-not-finite": (
+        "analyze budget", _budget(count_rate="1e300", rep_rate="1e-300", blinking="1e-10",
+                                  p_emit="1", eta_detector="1", eta_fiber="1",
+                                  eta_setup="1"), [], 3, "not a positive finite"),
+    "budget-efficiency-underflows": (
+        "analyze budget", _budget(count_rate="1e-300", rep_rate="1e300", blinking="1",
+                                  p_emit="1", eta_detector="1", eta_fiber="1",
+                                  eta_setup="1"), [], 3, "not a positive finite"),
     "hom-visibility-above-1": ("simulate hom", "hom.mutual_visibility = 1.5\n", [], 2),
     "autocorr-negative-g2": ("simulate autocorr", "autocorr.g2_target = -0.5\n", [], 2),
+    "autocorr-g2-above-model-maximum": ("simulate autocorr", "autocorr.g2_target = 2\n",
+                                        [], 2, "'autocorr.g2_target'"),
     "tomography-negative-cycles": (
         "simulate tomography", "tomography.cycles_per_setting = -5\n", [], 2),
     "hom-zero-cycles": ("simulate hom", "hom.cycles = 0\n", [], 2),
@@ -371,17 +381,46 @@ def test_cavity_index_comes_from_the_stack(tmp_path):
                  "--heights", "20"]) == 0
     assert main(["cavity", "efficiency", "--config", cfg, "--out", out,
                  "--nas", "0.7"]) == 0
-    stack = RunConfig.from_file(cfg).stack
-    lam0, q = cavity.cavity_resonance_and_q(stack)
+    mode = cavity.cavity_mode(RunConfig.from_file(cfg).stack)
+    assert mode.n_cavity == 3.5
     d = cavity.DefectModel(height=20.0)
-    f_p = cavity.purcell_estimate(
-        q, d, lam0, 3.5, cavity.effective_cavity_length(stack, lam0))
+    w = cavity.mode_waist(d)
+    f_p = (3.0 / (4.0 * np.pi**2) * (mode.wavelength / 3.5) ** 3 * mode.q
+           / ((np.pi / 4.0) * w**2 * mode.effective_length))
     rows = open(os.path.join(out, "purcell.csv")).read().splitlines()
     assert float(rows[1].split(",")[2]) == pytest.approx(f_p, rel=1e-12)
-    cone = 1.0 - np.exp(-2.0 * (0.7 * np.pi * cavity.mode_waist(d) / lam0) ** 2)
-    eta = f_p / (f_p + 1.0) * cavity.top_emission_fraction(stack, lam0) * cone
+    cone = 1.0 - np.exp(-2.0 * (0.7 * np.pi * w / mode.wavelength) ** 2)
+    eta = f_p / (f_p + 1.0) * mode.top_share * cone
     res = json.load(open(os.path.join(out, "efficiency.json")))
     assert res["extraction_efficiency"]["0.7"] == pytest.approx(eta, rel=1e-12)
+
+
+@pytest.mark.parametrize("what, flag, values", [
+    ("purcell", "--heights", ["10", "20", "30", "40", "50"]),
+    ("efficiency", "--nas", ["0.3", "0.5", "0.62", "0.7", "0.9"])])
+def test_cavity_mirrors_evaluated_once_per_command(tmp_path, monkeypatch, what, flag,
+                                                   values):
+    # the resonance, spacer and both mirrors are analysed once, not once per row
+    calls = []
+    matrix = cavity.characteristic_matrix
+    monkeypatch.setattr(cavity, "characteristic_matrix",
+                        lambda *a: calls.append(1) or matrix(*a))
+    counts = []
+    for n in (1, len(values)):
+        calls.clear()
+        out = str(tmp_path / f"{what}{n}")
+        assert main(["cavity", what, "--out", out, flag, *values[:n]]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_efficiency_keys_name_each_na_exactly(tmp_path):
+    out = str(tmp_path / "eff")
+    assert main(["cavity", "efficiency", "--out", out,
+                 "--nas", "0.7", "0.70000001", "0.123456789", "0.62"]) == 0
+    etas = json.load(open(os.path.join(out, "efficiency.json")))["extraction_efficiency"]
+    assert sorted(etas) == ["0.123456789", "0.62", "0.7", "0.70000001"]
+    assert etas["0.123456789"] < etas["0.62"] < etas["0.7"] < etas["0.70000001"]
 
 
 def test_lifetime_pipeline_convergence_exit(tmp_path):

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tbsim import optics
+from tbsim import fitting, optics
 from tbsim.cascade import EmitterParams
 from tbsim.optics import (CoincidenceHistogram, DetectorModel, Interferometer,
                           PhotonEvents, TimebinStateModel,
                           coincidence_probability, histogram_events,
-                          hom_distinguishable_fixture, ideal_timebin_density,
+                          ideal_timebin_density,
                           middle_slot_fraction,
                           simulate_autocorrelation, simulate_poissonian_source,
                           simulate_timebin_run, symmetric_bins,
@@ -238,9 +238,42 @@ def test_middle_slot_fraction_requires_side_counts():
 
 # --- HOM ---------------------------------------------------------------------
 
+def _hom_distinguishable_weights() -> dict:
+    """Relative five-peak areas of two distinguishable photons, by enumeration.
+
+    Photon 0 is emitted at 0 and photon 1 one analyzer delay later; each
+    takes the short or long path (4 combinations) and leaves by either
+    output port onto either detector. Side peaks accumulate cross-detector
+    coincidence weight; the central peak accumulates the full overlapping
+    pair flux (same- and cross-detector alike), the classical normalization
+    under which two distinguishable photons read out as g2 = 0.5. Keys are
+    peak delays in units of the analyzer delay, start on detector 0.
+    """
+    weights = {-2: 0.0, -1: 0.0, 0: 0.0, 1: 0.0, 2: 0.0}
+    for path0 in (0, 1):
+        for path1 in (0, 1):
+            arrival0, arrival1 = path0, 1 + path1
+            for d0 in (0, 1):
+                for d1 in (0, 1):
+                    if d0 == d1 and arrival0 != arrival1:
+                        continue  # same detector: no coincidence
+                    tau = arrival1 - arrival0 if d0 == 0 else arrival0 - arrival1
+                    # path combination x port survival of both x detector assignment
+                    weights[tau] += 0.25 * 0.25 * 0.25
+    return weights
+
+
 def test_hom_fixture_frozen_values():
-    w = hom_distinguishable_fixture()
+    w = _hom_distinguishable_weights()
     assert w == {-2: 1 / 64, -1: 1 / 32, 0: 1 / 16, 1: 1 / 32, 2: 1 / 64}
+    side_weight = w[-2] + w[-1] + w[1] + w[2]
+    assert side_weight / w[0] == 1.5
+    # hom_five_peak divides the side area by exactly that 1.5
+    areas = [1003.0, 1511.0, 2500.0, 1509.0, 977.0]  # side 5000: / 1.5 != * (2 / 3)
+    h = CoincidenceHistogram(bin_width=1000.0, origin=-3500.0,
+                             counts=np.array([0, *areas, 0], dtype=np.int64))
+    peaks = fitting.hom_five_peak(h, 1000.0)
+    assert peaks.g2_hom == areas[2] / ((areas[0] + areas[1] + areas[3] + areas[4]) / 1.5)
 
 
 def test_hom_peak_positions_exact():
