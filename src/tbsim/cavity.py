@@ -80,22 +80,21 @@ def make_cavity_stack(bottom_pairs: int = 24, top_pairs: int = 5,
 
 
 def characteristic_matrix(stack: LayerStack, wavelengths) -> np.ndarray:
-    """2x2 characteristic matrix per wavelength (normal incidence)."""
+    """2x2 characteristic matrix per wavelength (normal incidence): each layer's
+    [[cos, i sin / n], [i n sin, cos]] multiplies [[a, b], [c, d]] from the right,
+    the product written out (Born & Wolf, Principles of Optics, sec. 1.6)."""
     lam = np.atleast_1d(np.asarray(wavelengths, dtype=float))
-    m = np.zeros((len(lam), 2, 2), dtype=complex)
-    m[:, 0, 0] = m[:, 1, 1] = 1.0
+    a, b = np.ones(len(lam), dtype=complex), np.zeros(len(lam), dtype=complex)
+    c, d = b, a
     for layer in stack.layers:
         if layer.thickness == 0.0:
             continue
         delta = 2.0 * np.pi * layer.refractive_index * layer.thickness / lam
-        c, s = np.cos(delta), np.sin(delta)
-        ml = np.empty_like(m)
-        ml[:, 0, 0] = c
-        ml[:, 0, 1] = 1j * s / layer.refractive_index
-        ml[:, 1, 0] = 1j * s * layer.refractive_index
-        ml[:, 1, 1] = c
-        m = np.einsum("kij,kjl->kil", m, ml)
-    return m
+        e00, s = np.cos(delta), np.sin(delta)
+        e01, e10 = 1j * s / layer.refractive_index, 1j * s * layer.refractive_index
+        a, b = a * e00 + b * e10, a * e01 + b * e00
+        c, d = c * e00 + d * e10, c * e01 + d * e00
+    return np.stack([a, b, c, d], axis=-1).reshape(-1, 2, 2)
 
 
 def _amplitudes(stack: LayerStack, wavelengths):
@@ -285,6 +284,8 @@ def efficiency_budget(b: EfficiencyBudget) -> dict:
     if not 0.0 < eta < np.inf:  # the quotient or the denominator over- or underflows
         raise ValueError(f"first-lens efficiency {b.count_rate!r} / {denominator!r} "
                          "is not a positive finite number")
+    if eta > 1.0:  # more counts than the source can send through the loss chain
+        raise ValueError(f"first-lens efficiency {eta!r} exceeds 1")
     return {
         "count_rate_per_s": b.count_rate,
         "rep_rate_hz": b.rep_rate,

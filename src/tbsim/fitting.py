@@ -135,6 +135,12 @@ def _profiled_lstsq(x, y, basis, lo, hi):
         c = np.linalg.lstsq(b, y, rcond=None)[0]
         return c, np.sum((y - b @ c) ** 2)
 
+    # the bases overflow, if anywhere, at an end of the bracket; an inf or NaN must not
+    # reach lstsq, whose LAPACK routines print a line of their own before they fail
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not all(np.isfinite(basis(x, q)).all() for q in (lo, hi)):
+            raise ValueError(f"fit model not finite for parameter values in [{lo:g}, {hi:g}]: "
+                             "an input value is too large")
     grid, inside = np.geomspace(lo, hi, _GRID), True
     while grid[-1] / grid[0] > 1.0 + 1e-12:
         k = int(np.argmin([solve(q)[1] for q in grid]))

@@ -52,6 +52,57 @@ def test_characteristic_matrix_unimodular():
     assert np.allclose(dets, 1.0, atol=1e-10)
 
 
+def _einsum_characteristic_matrix(stack, wavelengths):
+    """Oracle: the layer matrices built as (n, 2, 2) arrays and multiplied by einsum."""
+    lam = np.atleast_1d(np.asarray(wavelengths, dtype=float))
+    m = np.zeros((len(lam), 2, 2), dtype=complex)
+    m[:, 0, 0] = m[:, 1, 1] = 1.0
+    for layer in stack.layers:
+        if layer.thickness == 0.0:
+            continue
+        delta = 2.0 * np.pi * layer.refractive_index * layer.thickness / lam
+        c, s = np.cos(delta), np.sin(delta)
+        ml = np.empty_like(m)
+        ml[:, 0, 0] = c
+        ml[:, 0, 1] = 1j * s / layer.refractive_index
+        ml[:, 1, 0] = 1j * s * layer.refractive_index
+        ml[:, 1, 1] = c
+        m = np.einsum("kij,kjl->kil", m, ml)
+    return m
+
+
+def _oracle_stacks():
+    nominal = make_cavity_stack()
+    top, _, bottom = split_cavity_stack(nominal)
+    stacks = [nominal, top, bottom] + [make_cavity_stack(top_pairs=p, t_cavity=t)
+                                       for p in range(12) for t in (265.0, 270.0, 275.0)]
+    g = np.random.default_rng(16)
+    for _ in range(20):  # about one layer in three of zero thickness
+        layers = tuple(Layer(float(g.uniform(1.2, 3.6)),
+                             float(g.uniform(0, 300) * (g.random() > 0.3)))
+                       for _ in range(g.integers(1, 30)))
+        stacks.append(LayerStack(layers, n_ambient=float(g.uniform(1.0, 3.6)),
+                                 n_substrate=float(g.uniform(1.0, 3.6))))
+    return stacks
+
+
+@pytest.mark.parametrize("points", [5001, 65, 1])
+def test_characteristic_matrix_equals_einsum_product(monkeypatch, points):
+    # equal values (an exact zero may differ in sign); R and T equal to the bit
+    lam = np.linspace(915.0, 965.0, points) if points > 1 else np.array([936.0])
+    for stack in _oracle_stacks():
+        want = _einsum_characteristic_matrix(stack, lam)
+        got = characteristic_matrix(stack, lam)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        r_got, t_got = transfer_matrix_spectrum(stack, lam)
+        with monkeypatch.context() as m:
+            m.setattr(cavity, "characteristic_matrix", lambda st, wl: want)
+            r_want, t_want = transfer_matrix_spectrum(stack, lam)
+        assert np.array_equal(r_got.view(np.uint64), r_want.view(np.uint64))
+        assert np.array_equal(t_got.view(np.uint64), t_want.view(np.uint64))
+
+
 def test_quarter_wave_mirror_closed_form():
     # admittance oracle: N quarter-wave pairs transform Y_sub into
     # (n_high/n_low)^(2N) * n_sub; R = ((1 - Y)/(1 + Y))^2

@@ -205,6 +205,8 @@ _MALFORMED = {
         "analyze budget", _budget(count_rate="1e300", rep_rate="1e-300", blinking="1e-10",
                                   p_emit="1", eta_detector="1", eta_fiber="1",
                                   eta_setup="1"), [], 3, "not a positive finite"),
+    "budget-efficiency-above-1": ("analyze budget", _budget(rep_rate="1000"), [], 3,
+                                  "first-lens efficiency", "exceeds 1"),
     "budget-efficiency-underflows": (
         "analyze budget", _budget(count_rate="1e-300", rep_rate="1e300", blinking="1",
                                   p_emit="1", eta_detector="1", eta_fiber="1",
@@ -285,6 +287,18 @@ def test_malformed_input_exit_code_and_one_line(tmp_path, capsys, case):
     prefix = {3: "data error: ", 4: "convergence error: "}.get(code, "config error: ")
     assert err.startswith(prefix) and err.count("\n") == 1, err
     assert all(text in err for text in match), err
+
+
+@pytest.mark.filterwarnings("error")
+def test_rabi_fit_that_overflows_exits_3_with_one_line(tmp_path, capfd):
+    # capfd, not capsys: LAPACK prints its complaint about an inf or NaN to file
+    # descriptor 1 itself, past sys.stdout
+    rows = _rabi_scan().splitlines()
+    rows[4] = "1e308," + rows[4].split(",")[1]
+    path = write(tmp_path, "scan.csv", "\n".join(rows) + "\n")
+    assert main(["analyze", "rabi", path, "--out", str(tmp_path / "o")]) == 3
+    out, err = capfd.readouterr()
+    assert out == "" and err.startswith("data error: ") and err.count("\n") == 1, out + err
 
 
 @pytest.mark.parametrize("argv", [
