@@ -86,12 +86,16 @@ def characteristic_matrix(stack: LayerStack, wavelengths) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(wavelengths, dtype=float))
     a, b = np.ones(len(lam), dtype=complex), np.zeros(len(lam), dtype=complex)
     c, d = b, a
+    entries = {}  # (index, thickness) -> that layer's entries, each computed once
     for layer in stack.layers:
         if layer.thickness == 0.0:
             continue
-        delta = 2.0 * np.pi * layer.refractive_index * layer.thickness / lam
-        e00, s = np.cos(delta), np.sin(delta)
-        e01, e10 = 1j * s / layer.refractive_index, 1j * s * layer.refractive_index
+        key = n, t = layer.refractive_index, layer.thickness
+        if key not in entries:
+            delta = 2.0 * np.pi * n * t / lam
+            s = np.sin(delta)
+            entries[key] = np.cos(delta), 1j * s / n, 1j * s * n
+        e00, e01, e10 = entries[key]
         a, b = a * e00 + b * e10, a * e01 + b * e00
         c, d = c * e00 + d * e10, c * e01 + d * e00
     return np.stack([a, b, c, d], axis=-1).reshape(-1, 2, 2)

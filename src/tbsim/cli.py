@@ -19,15 +19,18 @@ import os
 import sys
 import tempfile
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, cavity, fitting, optics, tomo
-from .cascade import two_pair_prob_for_g2, two_photon_rabi_population
-from .config import ConfigError, RunConfig, parse_config, parse_seed
-from .qcore import purity
-from .rng import CounterRng
+from . import __version__
 from .table import format_table, read_table
+
+if TYPE_CHECKING:
+    from .config import RunConfig
+
+# Each handler imports the tbsim modules it runs, so that a command loads
+# only its own path: the cavity commands load `cavity` alone.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,6 +115,7 @@ class _Run:
 
 
 def _read_config(path: str) -> RunConfig:
+    from .config import RunConfig
     try:
         return RunConfig.from_file(path)
     except OSError as exc:  # a config file that is missing, a directory or unreadable
@@ -122,6 +126,7 @@ def _read_config(path: str) -> RunConfig:
 
 
 def _simulate_tomography(cfg: RunConfig, run: _Run) -> None:
+    from . import optics, tomo
     rho = optics.ideal_timebin_density(cfg.state)
     table = tomo.simulate_counts(
         rho, cfg.tomography_cycles, cfg.detectors.efficiency**2, cfg.seed)
@@ -129,6 +134,7 @@ def _simulate_tomography(cfg: RunConfig, run: _Run) -> None:
 
 
 def _simulate_hom(cfg: RunConfig, run: _Run) -> None:
+    from . import optics
     events = optics.simulate_hom_run(
         cfg.emitter, cfg.analyzer_xx, cfg.hom_mutual_visibility,
         cfg.detectors, cfg.hom_cycles, cfg.seed)
@@ -138,6 +144,9 @@ def _simulate_hom(cfg: RunConfig, run: _Run) -> None:
 
 
 def _simulate_autocorr(cfg: RunConfig, run: _Run) -> None:
+    from . import optics
+    from .cascade import two_pair_prob_for_g2
+    from .config import ConfigError
     try:
         two_pair_prob = two_pair_prob_for_g2(cfg.autocorr_g2_target, cfg.emitter)
     except ValueError as exc:
@@ -153,6 +162,8 @@ def _simulate_autocorr(cfg: RunConfig, run: _Run) -> None:
 
 
 def _simulate_lifetime(cfg: RunConfig, run: _Run) -> None:
+    from . import optics
+    from .rng import CounterRng
     rng = CounterRng(cfg.seed, stream=80)
     n = cfg.lifetime_counts
     t0 = 8.0 * cfg.detectors.jitter_sigma
@@ -174,6 +185,8 @@ _RABI_COLUMNS = ("sqrt_power", "counts")
 
 
 def _simulate_rabi(cfg: RunConfig, run: _Run) -> None:
+    from .cascade import two_photon_rabi_population
+    from .rng import CounterRng
     sqrt_powers = np.round(np.linspace(0.1, 2.5, 25), 6)
     means = np.array([
         cfg.rabi_cycles_per_point
@@ -215,6 +228,8 @@ def _read_text(path: str) -> str:
 
 
 def _analyze_tomo(args, run: _Run) -> dict:
+    from . import tomo
+    from .qcore import purity
     table = tomo.CountsTable.from_csv(_read_text(args.input))
     run.seed = args.seed
     result = tomo.reconstruct(table, mc_runs=args.mc_runs, seed=args.seed)
@@ -234,6 +249,7 @@ def _analyze_tomo(args, run: _Run) -> dict:
 
 
 def _analyze_g2(args, run: _Run) -> dict:
+    from . import fitting, optics
     hist = optics.CoincidenceHistogram.from_csv(_read_text(args.input))
     g2, g2_err = fitting.g2_zero(hist, args.rep_period)
     blink = fitting.blinking_factor(hist, args.rep_period)
@@ -242,6 +258,7 @@ def _analyze_g2(args, run: _Run) -> dict:
 
 
 def _analyze_hom(args, run: _Run) -> dict:
+    from . import fitting, optics
     hist = optics.CoincidenceHistogram.from_csv(_read_text(args.input))
     peaks = fitting.hom_five_peak(hist, args.delay)
     return {
@@ -255,6 +272,7 @@ def _analyze_hom(args, run: _Run) -> dict:
 
 
 def _analyze_lifetime(args, run: _Run) -> dict:
+    from . import fitting, optics
     if not (np.isfinite(args.jitter_fwhm) and args.jitter_fwhm >= 0):  # 0: ideal detector
         raise DataError(f"--jitter-fwhm {args.jitter_fwhm} ps must be a non-negative "
                         "finite number")
@@ -267,6 +285,7 @@ def _analyze_lifetime(args, run: _Run) -> dict:
 
 
 def _analyze_rabi(args, run: _Run) -> dict:
+    from . import fitting
     if not (np.isfinite(args.rate_normalization) and args.rate_normalization > 0):
         raise DataError(f"--rate-normalization {args.rate_normalization} must be a "
                         "positive finite number")
@@ -282,6 +301,8 @@ def _analyze_rabi(args, run: _Run) -> dict:
 
 
 def _analyze_budget(args, run: _Run) -> dict:
+    from . import cavity
+    from .config import parse_config
     mapping = parse_config(_read_text(args.input))
     fields = [f.name for f in dataclasses.fields(cavity.EfficiencyBudget)]
     if not mapping:
@@ -330,6 +351,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cavity(args) -> int:
+    from . import cavity
     if args.config:
         cfg = _read_config(args.config)
         stack, defect, cfg_hash = cfg.stack, cfg.defect, cfg.hash()
@@ -365,6 +387,15 @@ def cmd_cavity(args) -> int:
 # ------------------------------------------------------------------- main
 
 
+def _seed(text: str) -> int:
+    """`--seed`: `rng.parse_seed`, with its reason in the usage error."""
+    from .rng import parse_seed
+    try:
+        return parse_seed(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} {exc}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="tbsim",
@@ -375,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate synthetic data files")
     sim.add_argument("what", choices=sorted(_SIMULATORS))
     sim.add_argument("--config", required=True, help="flat key-value config file")
-    sim.add_argument("--seed", type=parse_seed, help="overrides the config seed")
+    sim.add_argument("--seed", type=_seed, help="overrides the config seed")
     sim.add_argument("--out", help="output directory (default: output.dir)")
     sim.set_defaults(func=cmd_simulate)
 
@@ -392,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana = group("analyze", "extract physics from data files", _ANALYZERS, cmd_analyze)
     for sp in ana.values():
         sp.add_argument("input", help="input CSV/cfg file")
-    ana["tomo"].add_argument("--seed", type=parse_seed, default=0,
+    ana["tomo"].add_argument("--seed", type=_seed, default=0,
                              help="Monte-Carlo resampling seed")
     ana["tomo"].add_argument("--mc-runs", type=int, default=50,
                              help="Monte-Carlo error-bar resamples")

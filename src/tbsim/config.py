@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .cascade import EmitterParams
 from .cavity import DefectModel, LayerStack, make_cavity_stack
 from .optics import DetectorModel, Interferometer, TimebinStateModel
+from .rng import parse_seed
 
 
 class ConfigError(ValueError):
@@ -65,14 +66,6 @@ def _checked(parse, ok, requirement: str):
             raise ValueError(f"must be {requirement}")
         return value
     return parse_checked
-
-
-def parse_seed(text: str) -> int:
-    """A run seed: an unsigned 64-bit integer, in any base `int(text, 0)` reads."""
-    seed = _int(text)
-    if not 0 <= seed < 2**64:
-        raise ValueError("must be an unsigned 64-bit integer")
-    return seed
 
 
 _COUNT = _checked(_int, lambda v: v > 0, "a positive integer")

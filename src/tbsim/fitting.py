@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .optics import FWHM_PER_SIGMA, CoincidenceHistogram
+if TYPE_CHECKING:
+    from .optics import CoincidenceHistogram
 
 
 @dataclass
@@ -202,6 +204,7 @@ def fit_lifetime(hist: CoincidenceHistogram, jitter_sigma: float) -> FitResult:
     (Baker & Cousins, NIM 221, 437 (1984)); sigma_tau is marginal, from the inverse observed
     information; a log-linear fit to the tail beyond peak + FWHM must agree within 2 sigma + 1%.
     """
+    from .optics import FWHM_PER_SIGMA
     counts = hist.counts.astype(float)
     centers = hist.centers
     total = counts.sum()

@@ -30,6 +30,17 @@ _SALT = np.uint64(0x6A09E667F3BCC908)
 _INV53 = 1.0 / float(1 << 53)
 
 
+def parse_seed(text: str) -> int:
+    """A run seed: an unsigned 64-bit integer, in any base `int(text, 0)` reads."""
+    try:
+        seed = int(text, 0)
+    except ValueError:  # not an integer at all breaks the same rule
+        seed = -1
+    if not 0 <= seed < 2**64:
+        raise ValueError("must be an unsigned 64-bit integer")
+    return seed
+
+
 def _mix(z: np.ndarray) -> np.ndarray:
     z = z ^ (z >> np.uint64(30))
     z = z * _MIX1

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import optics, rng
+from . import rng
 from .qcore import BELL_PHI_PLUS, DensityMatrix, _as_matrix, concurrence, fidelity_to_state
 from .table import format_table, read_table
 
@@ -371,6 +371,7 @@ def simulate_tomography_via_events(emitter, state, detectors, cycles_per_setting
     Carlo, and counts same-cycle coincidences in the slot pair selected by
     the projectors.  Exposures carry the slot acceptance weights.
     """
+    from . import optics
     counts = np.empty(16, dtype=np.int64)
     for k, (xx, x) in enumerate(SETTINGS):
         an_xx = optics.Interferometer(delay=delay, phase=_LABELS[xx].phase)

@@ -312,6 +312,17 @@ def test_inapplicable_or_invalid_flag_exits_2(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "abc"])
+def test_invalid_seed_flag_names_the_rule(capsys, seed):
+    # argparse named the type function instead: "invalid parse_seed value: '-1'"
+    for argv in (["simulate", "rabi", "--config", "x"], ["analyze", "tomo", "in.csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--seed: {seed!r} must be an unsigned 64-bit integer" in err, err
+
+
 def test_analyze_lifetime_zero_jitter_is_ideal_detector(tmp_path):
     path = write(tmp_path, "lt.csv", _decay_hist())
     ana = str(tmp_path / "a")
@@ -499,6 +510,50 @@ def test_no_command_imports_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+_MODULES_SCRIPT = """
+import runpy, sys
+
+try:
+    runpy.run_module("tbsim.cli", run_name="__main__")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(sorted(m for m in sys.modules if m.split(".")[0] == "tbsim"))
+"""
+
+# the modules a config file loads: RunConfig builds every model
+_CONFIG_MODULES = ("cascade", "cavity", "config", "kernels", "optics", "qcore", "rng")
+_COMMAND_MODULES = {
+    "--version": (),
+    "cavity spectrum --out {out}": ("cavity",),
+    "cavity purcell --out {out}": ("cavity",),
+    "cavity efficiency --out {out}": ("cavity",),
+    "simulate rabi --config {cfg} --out {out}": _CONFIG_MODULES,
+    "simulate tomography --config {cfg} --out {out}": _CONFIG_MODULES + ("tomo",),
+    "analyze tomo {out}/tomography_counts.csv --out {out}": ("qcore", "rng", "tomo"),
+    "analyze rabi {out}/rabi_scan.csv --out {out}": ("fitting",),
+    "analyze g2 {out}/autocorr_hist.csv --out {out}": (
+        "cascade", "fitting", "kernels", "optics", "qcore", "rng"),
+    "analyze budget {budget} --out {out}": _CONFIG_MODULES,
+}
+
+
+def test_each_command_imports_only_its_modules(tmp_path):
+    # a module a command does not run costs it the import, and without a
+    # bytecode cache the compile, on every run
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+    cfg = write(tmp_path, "run.cfg", MINI_CFG + "autocorr.cycles = 30000\n")
+    out = str(tmp_path / "out")
+    assert main(["simulate", "autocorr", "--config", cfg, "--out", out]) == 0
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    for command, modules in _COMMAND_MODULES.items():
+        argv = command.format(cfg=cfg, out=out, budget=os.path.join(root, "budget.cfg"))
+        proc = subprocess.run([sys.executable, "-c", _MODULES_SCRIPT, *argv.split()],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (command, proc.stderr)
+        expected = sorted(["tbsim", "tbsim.table", *(f"tbsim.{m}" for m in modules)])
+        assert proc.stdout.splitlines()[-1] == str(expected), command
 
 
 _TRACER_SCRIPT = """
