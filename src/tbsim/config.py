@@ -11,11 +11,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .cascade import EmitterParams
 from .cavity import DefectModel, LayerStack, make_cavity_stack
-from .optics import DetectorModel, Interferometer, TimebinStateModel
 from .rng import parse_seed
+
+if TYPE_CHECKING:
+    from .cascade import EmitterParams
+    from .optics import DetectorModel, Interferometer, TimebinStateModel
 
 
 class ConfigError(ValueError):
@@ -120,12 +123,6 @@ _KEYS = {
     "output.dir": (None, "output_dir", str),
 }
 
-# The model each RunConfig model field is built by, from the keys given.
-_MODELS = {"emitter": EmitterParams, "state": TimebinStateModel,
-           "analyzer_xx": Interferometer, "analyzer_x": Interferometer,
-           "detectors": DetectorModel, "stack": make_cavity_stack,
-           "defect": DefectModel}
-
 
 @dataclass
 class RunConfig:
@@ -158,9 +155,17 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":
+        # imported here, so that `parse_config` alone loads no model module
+        from .cascade import EmitterParams
+        from .optics import DetectorModel, Interferometer, TimebinStateModel
+        # the model each RunConfig model field is built by, from the keys given
+        models = {"emitter": EmitterParams, "state": TimebinStateModel,
+                  "analyzer_xx": Interferometer, "analyzer_x": Interferometer,
+                  "detectors": DetectorModel, "stack": make_cavity_stack,
+                  "defect": DefectModel}
         if "seed" not in mapping:
             raise ConfigError("seed", "required key is missing")
-        given = {part: {} for part in (None, *_MODELS)}
+        given = {part: {} for part in (None, *models)}
         for key, text in mapping.items():
             if key not in _KEYS:
                 raise ConfigError(key, "unknown key")
@@ -170,13 +175,13 @@ class RunConfig:
                 value = parse(text)
                 for part in parts:
                     if part is not None:  # the model's own check, on this value alone
-                        _MODELS[part](**{name: value})
+                        models[part](**{name: value})
             except ValueError as exc:
                 raise ConfigError(key, f"{text!r} rejected: {exc}") from None
             for part in parts:
                 given[part][name] = value
-        models = {part: build(**given[part]) for part, build in _MODELS.items()}
-        return cls(**given[None], **models, raw=dict(mapping))
+        built = {part: build(**given[part]) for part, build in models.items()}
+        return cls(**given[None], **built, raw=dict(mapping))
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":

@@ -8,8 +8,7 @@ gradient, and Monte-Carlo error bars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,61 +17,36 @@ from .qcore import BELL_PHI_PLUS, DensityMatrix, _as_matrix, concurrence, fideli
 from .table import format_table, read_table
 
 
-class _Label(NamedTuple):
-    """One single-photon projection of the analysis interferometer."""
-
-    ket: np.ndarray
-    slot_weight: float  # arrival-slot acceptance
-    phase: float        # analyzer phase
-    slot: int           # arrival slot counted: 0 early, 1 overlap, 2 late
-
-
-# time-basis projections use one path (amplitude 1/2 -> weight 1/4), the
-# superposition bases use the overlap slot (weight 1/2)
+# the single-photon projection of each label
 _LABELS = {
-    "E": _Label(np.array([1.0, 0.0], dtype=complex), 0.25, 0.0, 0),
-    "L": _Label(np.array([0.0, 1.0], dtype=complex), 0.25, 0.0, 2),
-    "P": _Label(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0), 0.5, 0.0, 1),
-    "Pi": _Label(np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0), 0.5, np.pi / 2.0, 1),
+    "E": np.array([1.0, 0.0], dtype=complex),
+    "L": np.array([0.0, 1.0], dtype=complex),
+    "P": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+    "Pi": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
 }
 
 # the canonical ordered schedule of 16 (xx, x) label pairs
 SETTINGS = tuple((a, b) for a in _LABELS for b in _LABELS)
 
-_KET_PAIRS = np.stack([np.kron(_LABELS[a].ket, _LABELS[b].ket) for a, b in SETTINGS])
+_KET_PAIRS = np.stack([np.kron(_LABELS[a], _LABELS[b]) for a, b in SETTINGS])
 # the projectors |ket><ket| of SETTINGS, shape (16, 4, 4)
 PROJECTORS = _KET_PAIRS[:, :, None] * _KET_PAIRS[:, None, :].conj()
 PROJECTORS.flags.writeable = False
-
-# relative per-setting exposure of the interferometric analyzers
-SLOT_EXPOSURES = np.array([_LABELS[a].slot_weight * _LABELS[b].slot_weight
-                           for a, b in SETTINGS])
-SLOT_EXPOSURES.flags.writeable = False
 
 _COUNTS_COLUMNS = ("xx_proj", "x_proj", "count")
 
 
 @dataclass
 class CountsTable:
-    """Accumulated coincidence counts, one entry per setting of `SETTINGS`.
-
-    `exposures` holds relative per-setting Poisson exposure; uniform
-    acquisition (the Born-level sampler) leaves it at ones, the
-    interferometric event pipeline uses the slot acceptance weights.
-    """
+    """Accumulated coincidence counts, one entry per setting of `SETTINGS`."""
 
     counts: np.ndarray
-    exposures: np.ndarray = field(default_factory=lambda: np.ones(16))
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
         if c.shape != (16,) or np.any(c < 0):
             raise ValueError("counts must be 16 non-negative integers")
         self.counts = c
-        e = np.asarray(self.exposures, dtype=float)
-        if e.shape != (16,) or np.any(e <= 0):
-            raise ValueError("exposures must be 16 positive weights")
-        self.exposures = e
 
     def to_csv(self) -> str:
         return format_table(
@@ -111,7 +85,7 @@ def probabilities(rho) -> np.ndarray:
 
 
 def simulate_counts(rho, per_setting_cycles: int, efficiency_product: float, seed) -> CountsTable:
-    """Poisson counts with uniform per-setting exposure."""
+    """Poisson counts of mean per_setting_cycles * efficiency_product * Tr(rho Pi_k)."""
     if not (0.0 < efficiency_product <= 1.0):
         raise ValueError("efficiency_product must be in (0, 1]")
     means = per_setting_cycles * efficiency_product * probabilities(rho)
@@ -124,7 +98,7 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def _linear_inversion(freqs: np.ndarray) -> np.ndarray:
-    """Linear inversion of exposure-corrected frequencies, shape (..., 16)."""
+    """Linear inversion of counts or frequencies, shape (..., 16)."""
     try:
         vec = np.linalg.solve(_DESIGN, freqs.T.astype(complex)).T
     except np.linalg.LinAlgError as exc:  # cannot occur for the canonical settings
@@ -137,9 +111,8 @@ def _linear_inversion(freqs: np.ndarray) -> np.ndarray:
 
 
 def linear_reconstruct(table: CountsTable) -> np.ndarray:
-    """Exposure-corrected linear inversion; Hermitian, unit trace,
-    possibly non-positive."""
-    return _linear_inversion(table.counts / table.exposures)
+    """Linear inversion of the counts: Hermitian, unit trace, possibly non-positive."""
+    return _linear_inversion(table.counts)
 
 
 def _clip_psd(m: np.ndarray) -> np.ndarray:
@@ -165,15 +138,16 @@ class MleResult:
 
 
 def poisson_log_likelihood(table: CountsTable, rho) -> float:
-    """Poisson log L = sum n_k ln mu_k - mu_k with mu_k = s * w_k * p_k.
+    """Poisson log L = sum n_k ln mu_k - mu_k with mu_k = s * p_k.
 
-    The scale s is its profile-likelihood optimum sum(n) / sum(w p).
+    The scale s is its profile-likelihood optimum sum(n) / sum(p); the
+    counts are summed as floats, since an int64 sum can wrap.
     """
+    n = table.counts.astype(float)
     probs = np.clip(probabilities(rho), 1e-15, None)
-    wp = table.exposures * probs
-    scale = table.counts.sum() / wp.sum()
-    mu = np.clip(scale * wp, 1e-300, None)
-    return float(np.sum(table.counts * np.log(mu) - mu))
+    scale = n.sum() / probs.sum()
+    mu = np.clip(scale * probs, 1e-300, None)
+    return float(np.sum(n * np.log(mu) - mu))
 
 
 _MLE_MAX_ITER = 10_000
@@ -185,18 +159,18 @@ _MLE_STALL_TOL = 1e-12
 _MLE_MAX_HALVINGS = 64
 
 
-def _nll_and_gradient(h: np.ndarray, n: np.ndarray, w: np.ndarray):
-    """Extended Poisson NLL sum_k mu_k - n_k ln mu_k, mu_k = w_k Tr(Pi_k H),
-    and its gradient sum_k w_k (1 - n_k / mu_k) Pi_k, for each row of a
-    stack of vec(H). A row where a counted setting has mu_k <= 0 is
-    outside the domain: its NLL is infinite."""
-    mu = w * (h @ _DESIGN_T).real
+def _nll_and_gradient(h: np.ndarray, n: np.ndarray):
+    """Extended Poisson NLL sum_k mu_k - n_k ln mu_k, mu_k = Tr(Pi_k H),
+    and its gradient sum_k (1 - n_k / mu_k) Pi_k, for each row of a stack
+    of vec(H). A row where a counted setting has mu_k <= 0 is outside the
+    domain: its NLL is infinite."""
+    mu = (h @ _DESIGN_T).real
     counted = n > 0
     inside = (mu > 0) | ~counted
     mu_log = np.where(inside & counted, mu, 1.0)
     nll = np.sum(mu - n * np.log(mu_log), axis=1)
     nll[~inside.all(axis=1)] = np.inf
-    grad = (w * (1.0 - np.where(counted, n / mu_log, 0.0))) @ _GRAD
+    grad = (1.0 - np.where(counted, n / mu_log, 0.0)) @ _GRAD
     return nll, grad
 
 
@@ -213,11 +187,11 @@ class ApgResult:
     nit: np.ndarray        # (m,) iterations of each fit
 
 
-def minimize(n: np.ndarray, w: np.ndarray, h0: np.ndarray) -> ApgResult:
+def minimize(n: np.ndarray, h0: np.ndarray) -> ApgResult:
     """Poisson maximum likelihood for a stack of m count tables at once.
 
     Minimizes the extended NLL of `_nll_and_gradient` over unnormalised
-    H >= 0 (its scale absorbs the exposure; at the optimum sum mu = sum n,
+    H >= 0 (its scale is free; at the optimum sum mu = sum n,
     so rho = H / Tr H maximizes `poisson_log_likelihood`) by accelerated
     projected gradient (Shang et al., PRA 95, 062336 (2017)): a Nesterov
     step from the extrapolated point, projected onto the positive cone by
@@ -225,14 +199,14 @@ def minimize(n: np.ndarray, w: np.ndarray, h0: np.ndarray) -> ApgResult:
     halved until the quadratic bound holds, then grown by 1.25) and
     momentum; a step that would raise the NLL is not taken and restarts
     the momentum, so no fit ends above its start. A fit stops by the
-    `_MLE_STALL_*` rule and then leaves the batch. n, w: (m, 16) counts
-    and exposures; h0: (m, 4, 4) positive starting points.
+    `_MLE_STALL_*` rule and then leaves the batch. n: (m, 16) counts;
+    h0: (m, 4, 4) positive starting points.
     """
     m = len(n)
     tol = _MLE_STALL_TOL * n.sum(axis=1)
     step = n.sum(axis=1) / 16.0
     x = h0.reshape(m, 16).astype(complex)
-    fx, gx = _nll_and_gradient(x, n, w)
+    fx, gx = _nll_and_gradient(x, n)
     nfev = m
     x_prev = x.copy()
     theta = np.ones(m)
@@ -240,14 +214,14 @@ def minimize(n: np.ndarray, w: np.ndarray, h0: np.ndarray) -> ApgResult:
     nit = np.zeros(m, dtype=int)
     active = np.arange(m)
     while active.size:
-        na, wa, xa = n[active], w[active], x[active]
+        na, xa = n[active], x[active]
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta[active] ** 2))
         beta = (theta[active] - 1.0) / theta_next
         y, fy, gy = xa.copy(), fx[active], gx[active]
         moved = np.flatnonzero(beta > 0)
         if moved.size:
             ym = xa[moved] + beta[moved, None] * (xa[moved] - x_prev[active[moved]])
-            fm, gm = _nll_and_gradient(ym, na[moved], wa[moved])
+            fm, gm = _nll_and_gradient(ym, na[moved])
             nfev += moved.size
             ok = np.isfinite(fm)  # else take a plain gradient step from x
             y[moved[ok]], fy[moved[ok]], gy[moved[ok]] = ym[ok], fm[ok], gm[ok]
@@ -257,7 +231,7 @@ def minimize(n: np.ndarray, w: np.ndarray, h0: np.ndarray) -> ApgResult:
         todo = np.arange(len(active))
         for _ in range(_MLE_MAX_HALVINGS):
             zt = _clip_psd((y[todo] - t[todo, None] * gy[todo]).reshape(-1, 4, 4)).reshape(-1, 16)
-            ft, gt = _nll_and_gradient(zt, na[todo], wa[todo])
+            ft, gt = _nll_and_gradient(zt, na[todo])
             nfev += todo.size
             d = zt - y[todo]
             bound = fy[todo] + _inner(gy[todo], d) + _inner(d, d) / (2.0 * t[todo])
@@ -281,7 +255,7 @@ def minimize(n: np.ndarray, w: np.ndarray, h0: np.ndarray) -> ApgResult:
                      converged=stalls >= _MLE_STALL_ITERS, nit=nit)
 
 
-def _fit(counts: np.ndarray, exposures: np.ndarray):
+def _fit(counts: np.ndarray):
     """Maximum-likelihood density matrices of a stack of count tables, shape
     (m, 16), as an (m, 4, 4) array, and whether each fit converged.
 
@@ -289,16 +263,16 @@ def _fit(counts: np.ndarray, exposures: np.ndarray):
     counts; all of them run as one `minimize` batch.
     """
     n = counts.astype(float)
-    rho0 = project_to_physical(_linear_inversion(n / exposures))
-    scale = n.sum(axis=1) / np.sum(exposures * probabilities(rho0), axis=1)
-    res = minimize(n, exposures, scale[:, None, None] * rho0)
+    rho0 = project_to_physical(_linear_inversion(n))
+    scale = n.sum(axis=1) / np.sum(probabilities(rho0), axis=1)
+    res = minimize(n, scale[:, None, None] * rho0)
     rho = res.x / np.trace(res.x, axis1=-2, axis2=-1).real[:, None, None]
     return _hermitian_part(rho), res.converged
 
 
 def mle_reconstruct(table: CountsTable) -> MleResult:
     """Maximum-likelihood density matrix: `minimize` on a batch of one."""
-    rho, converged = _fit(table.counts[None], table.exposures[None])
+    rho, converged = _fit(table.counts[None])
     rho = DensityMatrix(rho[0])
     ll = poisson_log_likelihood(table, rho)
     return MleResult(rho=rho, log_likelihood=ll, converged=bool(converged[0]))
@@ -317,7 +291,7 @@ def monte_carlo_errors(table: CountsTable, runs: int = 50, seed=0) -> tuple[floa
     if runs < 2:
         raise ValueError("need at least 2 Monte Carlo runs")
     counts = _resample(table, runs, seed)
-    rhos, converged = _fit(counts, np.broadcast_to(table.exposures, counts.shape))
+    rhos, converged = _fit(counts)
     rhos = [DensityMatrix(r) for r in rhos]
     cs = [concurrence(r) for r in rhos]
     fs = [fidelity_to_state(r, BELL_PHI_PLUS) for r in rhos]
@@ -361,25 +335,3 @@ def reconstruct(table: CountsTable, mc_runs: int = 50, seed=0) -> Reconstruction
         mc_converged=mc_converged,
     )
 
-
-def simulate_tomography_via_events(emitter, state, detectors, cycles_per_setting: int,
-                                   seed, delay: float = 3000.0,
-                                   window: float = 500.0) -> CountsTable:
-    """Event-level tomography: one interferometric run per setting.
-
-    Each setting fixes the analyzer phases, runs the full time-bin Monte
-    Carlo, and counts same-cycle coincidences in the slot pair selected by
-    the projectors.  Exposures carry the slot acceptance weights.
-    """
-    from . import optics
-    counts = np.empty(16, dtype=np.int64)
-    for k, (xx, x) in enumerate(SETTINGS):
-        an_xx = optics.Interferometer(delay=delay, phase=_LABELS[xx].phase)
-        an_x = optics.Interferometer(delay=delay, phase=_LABELS[x].phase)
-        events = optics.simulate_timebin_run(
-            emitter, state, (an_xx, an_x), detectors, cycles_per_setting,
-            rng.stream_seed(seed, 1000 + k),
-        )
-        slots = optics.timebin_slot_counts(events, emitter.rep_period, delay, window)
-        counts[k] = slots[_LABELS[xx].slot, _LABELS[x].slot]
-    return CountsTable(counts=counts, exposures=SLOT_EXPOSURES)

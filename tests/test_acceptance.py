@@ -65,9 +65,7 @@ def test_criterion_2_tomography_exactness():
     for i in range(100):
         rho = random_physical_rho(1000 + i)
         probs = tomo.probabilities(rho)
-        table = tomo.CountsTable(
-            counts=np.rint(probs * 1e12).astype(np.int64),
-            exposures=np.full(16, 1e12))
+        table = tomo.CountsTable(counts=np.rint(probs * 1e12).astype(np.int64))
         rec = tomo.linear_reconstruct(table)
         worst = max(worst, float(np.max(np.abs(rec - rho))))
 
@@ -269,6 +267,10 @@ _DATA_FILES = {
     "rabi": "rabi_scan.csv",
 }
 
+# the simulate command whose data file each analyze command reads
+_ANALYZED = {"tomo": "tomography", "hom": "hom", "g2": "autocorr",
+             "lifetime": "lifetime", "rabi": "rabi"}
+
 
 def test_criterion_9_determinism(tmp_path):
     cfg = tmp_path / "run.cfg"
@@ -284,4 +286,18 @@ def test_criterion_9_determinism(tmp_path):
             paths.append(out / fname)
         same = paths[0].read_bytes() == paths[1].read_bytes()
         checks.append((same, f"{what} rerun byte-identical"))
+    inputs = {what: tmp_path / f"{sim}_a" / _DATA_FILES[sim] for what, sim in _ANALYZED.items()}
+    inputs["budget"] = os.path.join(os.path.dirname(__file__), "..", "budget.cfg")
+    for what, path in inputs.items():
+        # the outcome of a run: its exit code and the bytes of its JSON; a
+        # fit may end unconverged (exit 4), and then writes none
+        outcomes = []
+        for rep in ("a", "b"):
+            out = tmp_path / f"analyze_{what}_{rep}"
+            code = cli_main(["analyze", what, str(path), "--out", str(out)])
+            assert code in (0, 4), (what, code)
+            result = out / f"analyze_{what}.json"
+            outcomes.append((code, result.read_bytes() if result.exists() else None))
+        checks.append((outcomes[0] == outcomes[1],
+                       f"analyze {what} rerun byte-identical (exit {outcomes[0][0]})"))
     report(9, "determinism", checks)

@@ -372,6 +372,22 @@ def test_analyze_tomo_closure(tmp_path):
     assert res["inputs"][0]["sha256"]
 
 
+def test_analyze_tomo_counts_whose_int64_sum_wraps(tmp_path):
+    # each count is a valid int64, but their total 4.8e19 is not: summed in
+    # int64 it wrapped to -7.3e18, and log L read -3.3e22
+    n = np.array([9e18 if a == b else 1e18 for a in _LABELS for b in _LABELS])
+    rows = "".join(f"{a},{b},{9 * 10**18 if a == b else 10**18}\n"
+                   for a in _LABELS for b in _LABELS)
+    path = write(tmp_path, "huge.csv", "xx_proj,x_proj,count\n" + rows)
+    ana = str(tmp_path / "ana")
+    assert main(["analyze", "tomo", path, "--out", ana, "--mc-runs", "2"]) == 0
+    ll = json.load(open(os.path.join(ana, "analyze_tomo.json")))["log_likelihood"]
+    # no better than the saturated model (mu_k = n_k), no worse than the
+    # maximally mixed state (mu_k = sum n / 16)
+    mixed = np.sum(n * np.log(n.sum() / 16.0) - n.sum() / 16.0)
+    assert mixed <= ll <= np.sum(n * np.log(n) - n)
+
+
 def test_analyze_budget_channels(tmp_path):
     root = os.path.join(os.path.dirname(__file__), "..")
     ana = str(tmp_path / "b")
@@ -535,7 +551,7 @@ _COMMAND_MODULES = {
     "analyze rabi {out}/rabi_scan.csv --out {out}": ("fitting",),
     "analyze g2 {out}/autocorr_hist.csv --out {out}": (
         "cascade", "fitting", "kernels", "optics", "qcore", "rng"),
-    "analyze budget {budget} --out {out}": _CONFIG_MODULES,
+    "analyze budget {budget} --out {out}": ("cavity", "config", "rng"),
 }
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from tbsim import tomo
 from tbsim.optics import TimebinStateModel, ideal_timebin_density
-from tbsim.qcore import concurrence, fidelity_to_state
 
 from test_qcore import random_physical_rho
 
@@ -51,16 +50,6 @@ def test_probabilities_batched_and_read_only():
             assert np.max(np.abs(stacked[i, j] - tomo.probabilities(rhos[i, j]))) < 1e-15
 
 
-def test_exposure_weights():
-    w = tomo.SLOT_EXPOSURES
-    assert w.shape == (16,)
-    assert set(np.round(w, 10)) == {1 / 16, 1 / 8, 1 / 4}
-    # E/E has both photons in quarter-weight slots
-    assert w[0] == pytest.approx(1 / 16)
-    # Pi/Pi has both photons in half-weight middle slots
-    assert w[-1] == pytest.approx(1 / 4)
-
-
 # --- linear inversion ----------------------------------------------------------
 
 def test_linear_inversion_exact_on_noise_free_probabilities():
@@ -70,20 +59,10 @@ def test_linear_inversion_exact_on_noise_free_probabilities():
         rho = random_physical_rho(seed)
         counts = np.array([round(scale * p) for p in tomo.probabilities(rho)],
                           dtype=np.int64)
-        table = tomo.CountsTable(counts=counts, exposures=np.full(16, scale))
+        table = tomo.CountsTable(counts=counts)
         rec = tomo.linear_reconstruct(table)
         worst = max(worst, float(np.max(np.abs(rec - rho))))
     assert worst < 1e-9
-
-
-def test_linear_inversion_respects_exposures():
-    rho = ideal_timebin_density(TimebinStateModel(visibility=0.6)).matrix
-    scale = 1e10
-    w = tomo.SLOT_EXPOSURES
-    counts = np.array([round(scale * wk * p) for wk, p in zip(w, tomo.probabilities(rho))],
-                      dtype=np.int64)
-    table = tomo.CountsTable(counts=counts, exposures=w * scale)
-    assert np.max(np.abs(tomo.linear_reconstruct(table) - rho)) < 1e-8
 
 
 def test_project_to_physical():
@@ -175,19 +154,6 @@ def test_reconstruct_reports_errors_and_phase_fidelity():
     assert res.fidelity_phase_optimized == pytest.approx(0.85, abs=0.04)
 
 
-def test_event_level_tomography_closure():
-    from tbsim.cascade import EmitterParams
-    from tbsim.optics import DetectorModel
-    em = EmitterParams(tau_xx=100.0, tau_x=150.0)
-    table = tomo.simulate_tomography_via_events(
-        em, TimebinStateModel(visibility=1.0), DetectorModel.ideal(),
-        cycles_per_setting=60000, seed=4)
-    res = tomo.mle_reconstruct(table)
-    assert concurrence(res.rho) == pytest.approx(1.0, abs=0.05)
-    assert fidelity_to_state(res.rho, tomo.BELL_PHI_PLUS) == pytest.approx(
-        1.0, abs=0.03)
-
-
 # --- the batched MLE against the L-BFGS-B fit it replaced ----------------------------
 
 _LOWER_ROWS, _LOWER_COLS = np.tril_indices(4, -1)
@@ -207,8 +173,8 @@ def lbfgs_log_likelihood(table):
 
     rho0 = tomo.project_to_physical(tomo.linear_reconstruct(table))
     ops = tomo.PROJECTORS
-    w, n = table.exposures, table.counts.astype(float)
-    scale0 = n.sum() / np.sum(w * np.real(np.einsum("kij,ji->k", ops, rho0)))
+    n = table.counts.astype(float)
+    scale0 = n.sum() / np.sum(np.real(np.einsum("kij,ji->k", ops, rho0)))
     c0 = np.linalg.cholesky(scale0 * (rho0 + 1e-8 * np.eye(4)) / (1.0 + 4e-8))
     t0 = np.concatenate([np.diag(c0).real, np.column_stack(
         [c0[_LOWER_ROWS, _LOWER_COLS].real, c0[_LOWER_ROWS, _LOWER_COLS].imag]).ravel()])
@@ -216,8 +182,8 @@ def lbfgs_log_likelihood(table):
     def objective(t):
         tm = t_from_params(t)
         h = tm @ tm.conj().T
-        mu = w * np.clip(np.real(np.einsum("kij,ji->k", ops, h)), 1e-12, None)
-        gt = tm.conj().T @ np.einsum("k,kij->ij", w * (1.0 - n / mu), ops)
+        mu = np.clip(np.real(np.einsum("kij,ji->k", ops, h)), 1e-12, None)
+        gt = tm.conj().T @ np.einsum("k,kij->ij", 1.0 - n / mu, ops)
         upper = gt[_LOWER_COLS, _LOWER_ROWS]
         grad = np.concatenate([2.0 * np.real(np.diag(gt)), np.column_stack(
             [2.0 * upper.real, -2.0 * upper.imag]).ravel()])
@@ -263,9 +229,9 @@ def test_batched_mle_never_below_lbfgs(monkeypatch):
         own = tomo.mle_reconstruct(table).log_likelihood
         assert own >= lbfgs_log_likelihood(table) - 1e-6, name
         counts = tomo._resample(table, 50, seed)
-        rhos, _ = tomo._fit(counts, np.broadcast_to(table.exposures, counts.shape))
+        rhos, _ = tomo._fit(counts)
         for k, rho in enumerate(rhos):
-            resampled = tomo.CountsTable(counts=counts[k], exposures=table.exposures)
+            resampled = tomo.CountsTable(counts=counts[k])
             assert (tomo.poisson_log_likelihood(resampled, rho)
                     >= lbfgs_log_likelihood(resampled) - 1e-6), (name, k)
     assert all(res.converged.all() and res.nit.max() <= 100 for res in fits)
