@@ -71,7 +71,11 @@ def _sha256_file(path: str) -> str:
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a NaN or an infinity is a data error, never `NaN` or `Infinity` in a file."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DataError(f"a result is not a finite number: {exc}") from None
 
 
 class _Run:
@@ -244,7 +248,7 @@ def _analyze_tomo(args, run: _Run) -> dict:
         "purity": purity(result.rho),
         "log_likelihood": result.log_likelihood,
         "mc_converged": result.mc_converged,
-        "rho": result.rho.to_json(),
+        "rho": {"re": result.rho.matrix.real.tolist(), "im": result.rho.matrix.imag.tolist()},
     }
 
 

@@ -102,8 +102,10 @@ def hom_five_peak(hist: CoincidenceHistogram, delay: float) -> HomPeaks:
     over both photons' paths and detectors, the peaks at -2..2 delays weigh
     1:2:4:2:1. Visibility uses the 1 - 2 g2 convention.
     """
-    if not (np.isfinite(delay) and delay > 0):
-        raise ValueError(f"delay {delay} ps must be a positive finite number")
+    reach = min(-hist.centers[0], hist.centers[-1])
+    if not 0 < 2.0 * delay <= reach:  # in Python floats, 2 * 1e308 is inf without a warning
+        raise ValueError(f"delay {delay} ps must be positive, with the peaks at +-2 delays "
+                         f"inside the histogram (+-{reach} ps)")
     ks = (-2, -1, 0, 1, 2)
     areas = {k: float(a) for k, a in
              zip(ks, hist.peak_areas(np.array(ks) * delay, delay / 3.0).tolist())}
@@ -202,7 +204,7 @@ def fit_lifetime(hist: CoincidenceHistogram, jitter_sigma: float) -> FitResult:
 
     Damped Newton steps in (tau, t0) minimise the multinomial NLL of `_log_bin_probs`
     (Baker & Cousins, NIM 221, 437 (1984)); sigma_tau is marginal, from the inverse observed
-    information; a log-linear fit to the tail beyond peak + FWHM must agree within 2 sigma + 1%.
+    information; the closed-form MLE of the tail past peak + 3 FWHM must agree within 2 sigma.
     """
     from .optics import FWHM_PER_SIGMA
     counts = hist.counts.astype(float)
@@ -229,6 +231,14 @@ def fit_lifetime(hist: CoincidenceHistogram, jitter_sigma: float) -> FitResult:
             return f[1, 1], np.array([_D1 @ f[:, 1], f[1] @ _D1]) / h, hess
 
     peak_t = float(centers[np.argmax(counts)])
+    # past peak + 3 FWHM the Gaussian factor is 1 to 1e-11: the tail bin index k is geometric,
+    # q = exp(-w/tau), and q = mean(k)/(1 + mean(k)) its MLE; a tail that shows no decay fails
+    tail = counts[np.searchsorted(centers, peak_t + 3.0 * FWHM_PER_SIGMA * jitter_sigma, "right"):]
+    if not tail[1:].any():
+        return FitResult(params={}, converged=False)
+    k = np.arange(len(tail)) @ tail / tail.sum()
+    tau_tail = w / math.log1p(1.0 / k)
+    tail_err = tau_tail**2 / (w * math.sqrt(k * (1.0 + k) * tail.sum()))
     theta = np.array([max(centers @ counts / total - peak_t, w),
                       min(peak_t - jitter_sigma, t0_hi - w / 2)])
     converged = False
@@ -246,19 +256,10 @@ def fit_lifetime(hist: CoincidenceHistogram, jitter_sigma: float) -> FitResult:
             break
         theta = theta + t * step
     tau_err = float(np.sqrt(np.linalg.inv(hess)[0, 0])) if converged else float("nan")
-
-    tail = (centers > peak_t + FWHM_PER_SIGMA * jitter_sigma) & (counts > 5)
-    tau_tail = float("nan")
-    if np.count_nonzero(tail) >= 3:  # weighted LS on log counts: var(log n) ~ 1/n
-        (slope, _), cov = np.polyfit(centers[tail], np.log(counts[tail]), 1,
-                                     w=np.sqrt(counts[tail]), cov=True)
-        tau_tail = -1.0 / slope
-        tail_err = tau_tail**2 * np.sqrt(cov[0, 0])
-        converged = converged and abs(tau_tail - theta[0]) <= (
-            2.0 * np.hypot(tau_err, tail_err) + 0.01 * theta[0])
+    converged = converged and abs(tau_tail - theta[0]) <= 2.0 * math.hypot(tau_err, tail_err)
     return FitResult(params={"tau": (float(theta[0]), tau_err),
                              "t0": (float(theta[1]), np.nan),
-                             "tau_tail": (tau_tail, np.nan)}, converged=bool(converged))
+                             "tau_tail": (tau_tail, tail_err)}, converged=bool(converged))
 
 
 def fit_rabi(sqrt_powers, rates, rate_normalization: float = 1.0) -> FitResult:
@@ -272,10 +273,12 @@ def fit_rabi(sqrt_powers, rates, rate_normalization: float = 1.0) -> FitResult:
     (a, k), cov, converged = _profiled_lstsq(
         x, y, lambda xx, k: np.sin(k * xx / 2.0)[:, None] ** 2, k0 / 4.0, k0 * 4.0)
     a_err, k_err = np.sqrt(np.diag(cov))
+    # as Python floats, A over a tiny normalization overflows to inf without a RuntimeWarning
     return FitResult(params={"amplitude": (a, a_err),
                              "area_calibration": (k, k_err),
                              "pi_pulse_sqrt_power": (np.pi / k, k_err * np.pi / k**2),
-                             "p_emit_pi": (a / rate_normalization, a_err / rate_normalization)},
+                             "p_emit_pi": (float(a) / rate_normalization,
+                                           float(a_err) / rate_normalization)},
                      converged=converged)
 
 

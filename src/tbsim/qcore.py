@@ -7,7 +7,6 @@ matrices in the package use this ordering.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +48,6 @@ class DensityMatrix:
         if evals.min() < EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix not positive: min eigenvalue {evals.min():.3e}")
         object.__setattr__(self, "matrix", m)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"re": self.matrix.real.tolist(), "im": self.matrix.imag.tolist()}
-        )
 
 
 def _as_matrix(rho) -> np.ndarray:

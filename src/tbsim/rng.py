@@ -92,8 +92,9 @@ def normal_pairs(seed, counters) -> np.ndarray:
 class CounterRng:
     """Convenience wrapper tying a (seed, stream) pair to a moving counter.
 
-    `take(n)` style calls advance the counter; fixed-layout callers can
-    instead use the stateless module functions with explicit counters.
+    Each call of `uniform`, `exponential`, `normal` or `poisson` takes the
+    next counters, one per variate; fixed-layout callers can instead use the
+    stateless module functions with explicit counters.
     """
 
     def __init__(self, seed, stream: int = 0):

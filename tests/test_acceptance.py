@@ -289,15 +289,11 @@ def test_criterion_9_determinism(tmp_path):
     inputs = {what: tmp_path / f"{sim}_a" / _DATA_FILES[sim] for what, sim in _ANALYZED.items()}
     inputs["budget"] = os.path.join(os.path.dirname(__file__), "..", "budget.cfg")
     for what, path in inputs.items():
-        # the outcome of a run: its exit code and the bytes of its JSON; a
-        # fit may end unconverged (exit 4), and then writes none
-        outcomes = []
+        outputs = []
         for rep in ("a", "b"):
             out = tmp_path / f"analyze_{what}_{rep}"
             code = cli_main(["analyze", what, str(path), "--out", str(out)])
-            assert code in (0, 4), (what, code)
-            result = out / f"analyze_{what}.json"
-            outcomes.append((code, result.read_bytes() if result.exists() else None))
-        checks.append((outcomes[0] == outcomes[1],
-                       f"analyze {what} rerun byte-identical (exit {outcomes[0][0]})"))
+            assert code == 0, (what, code)
+            outputs.append((out / f"analyze_{what}.json").read_bytes())
+        checks.append((outputs[0] == outputs[1], f"analyze {what} rerun byte-identical"))
     report(9, "determinism", checks)

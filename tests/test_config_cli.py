@@ -242,6 +242,15 @@ _MALFORMED = {
                                       3, "repetition period"),
     "lifetime-rising-zero-jitter": ("analyze lifetime", _rising_hist(),
                                     ["--jitter-fwhm", "0"], 4, "did not converge"),
+    # 3 FWHM past the peak lies beyond the histogram: no tail to check, so no fit is tried
+    "lifetime-jitter-beyond-histogram": ("analyze lifetime", _decay_hist(),
+                                         ["--jitter-fwhm", "1e200"], 4, "did not converge"),
+    "hom-delay-overflows": ("analyze hom", _flat_hist(), ["--delay", "1e308"], 3, "delay"),
+    "hom-delay-beyond-histogram": ("analyze hom", _flat_hist(), ["--delay", "150"], 3,
+                                   "inside the histogram"),
+    # p_emit_pi = amplitude / 1e-320 overflows: strict JSON has no Infinity to write
+    "rabi-result-not-finite": ("analyze rabi", _rabi_scan(),
+                               ["--rate-normalization", "1e-320"], 3, "not a finite number"),
     "key-misspelt": _rejects("simulate lifetime", "lifetime.tau_pss = 500"),
     "key-negative-tau-xx": _rejects("simulate hom", "emitter.tau_xx_ps = -1"),
     "key-visibility-above-1": _rejects("simulate tomography", "state.visibility = 1.5"),

@@ -125,6 +125,29 @@ def test_lifetime_fit_ideal_detector():
     assert np.isfinite(fit.sigma("tau"))
 
 
+def test_lifetime_fit_converges_at_20k_counts():
+    # correct data: the tail cross-check must accept every fit, also where sparse tail
+    # bins hold a few counts or none
+    sigma = 16.0 / 2.3548200450309493
+    for seed in range(1, 21):
+        fit = fitting.fit_lifetime(synthetic_lifetime_hist(300.0, sigma, 20000, seed), sigma)
+        assert fit.converged, seed
+        assert abs(fit.value("tau") - 300.0) < 3.0 * fit.sigma("tau"), seed
+
+
+def test_lifetime_fit_rejects_biexponential_decay():
+    # 30% of the counts decay at 1500 ps: one exponential fits the whole histogram at a
+    # tau that the tail, past peak + 3 FWHM, does not share
+    sigma, n = 16.0 / 2.3548200450309493, 100000
+    r = CounterRng(5, stream=91)
+    tau = np.where(r.uniform(n) < 0.3, 1500.0, 300.0)
+    t = 200.0 + r.exponential(n, tau) + r.normal(n, sigma)
+    counts, _ = np.histogram(t, bins=np.arange(-200.0, 3800.0, 4.0))
+    fit = fitting.fit_lifetime(CoincidenceHistogram(4.0, -200.0, counts.astype(np.int64)),
+                               sigma)
+    assert not fit.converged
+
+
 def test_lifetime_fit_requires_counts():
     h = synthetic_lifetime_hist(300.0, 7.0, 1000, seed=1)
     with pytest.raises(ValueError):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tbsim import tomo
+from tbsim.cli import main
 from tbsim.qcore import (BELL_PHI_PLUS, DensityMatrix, concurrence,
                          fidelity_to_state, purity)
 
@@ -43,11 +45,15 @@ def test_density_matrix_validation():
         DensityMatrix(neg)
 
 
-def test_density_matrix_json_roundtrip_bit_exact():
-    rho = DensityMatrix(random_physical_rho(7))
-    obj = json.loads(rho.to_json())
+def test_density_matrix_json_roundtrip_bit_exact(tmp_path):
+    # analyze_tomo.json holds rho as one JSON object {"re": [...], "im": [...]}, decoded once
+    table = tomo.simulate_counts(random_physical_rho(7), 20000, 1.0, seed=4)
+    path = tmp_path / "counts.csv"
+    path.write_text(table.to_csv())
+    assert main(["analyze", "tomo", str(path), "--mc-runs", "2", "--out", str(tmp_path)]) == 0
+    obj = json.loads((tmp_path / "analyze_tomo.json").read_text())["rho"]
     again = DensityMatrix(np.array(obj["re"]) + 1j * np.array(obj["im"]))
-    assert np.array_equal(rho.matrix, again.matrix)
+    assert np.array_equal(tomo.mle_reconstruct(table).rho.matrix, again.matrix)
 
 
 # --- metrics ------------------------------------------------------------------
