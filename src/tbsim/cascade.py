@@ -96,38 +96,29 @@ def sample_pair_emission(params: EmitterParams, seed, cycles: int) -> EmissionRe
     p_emit_pi (the Rabi population at area pi); an excitation yields t_xx =
     cycle start + Exp(tau_xx) and t_x = t_xx + Exp(tau_x).  With
     probability two_pair_prob a second, uncorrelated pair from the same
-    pulse is appended.  Fully counter-indexed: identical (seed, params)
-    give a bit-identical stream.
+    pulse is appended.  Fully counter-indexed: every stream is drawn at the
+    counters of the cycles that read it (excitation at ON cycles, the rest
+    at excited ones), and the draw at a counter does not depend on which
+    others are drawn, so identical (seed, params) give a bit-identical
+    stream.
     """
-    if cycles == 0:
-        return EmissionRecords()
+    on_cycles = np.flatnonzero(blinking_telegraph(
+        params.blinking_on_fraction, params.blinking_mean_on_cycles, seed, cycles))
+    excited = on_cycles[
+        rng.uniform(rng.stream_seed(seed, _S_EXCITE), on_cycles) < params.p_emit_pi]
+    extra = excited[
+        rng.uniform(rng.stream_seed(seed, _S_TWO_PAIR), excited) < params.two_pair_prob]
 
-    on = blinking_telegraph(
-        params.blinking_on_fraction, params.blinking_mean_on_cycles, seed, cycles
-    ).astype(bool)
+    def pick(cyc, s_xx, s_x):
+        t_xx = cyc * params.rep_period + rng.exponential(
+            rng.stream_seed(seed, s_xx), cyc, params.tau_xx)
+        t_x = t_xx + rng.exponential(rng.stream_seed(seed, s_x), cyc, params.tau_x)
+        return EmissionRecords(cycle=cyc, t_xx=t_xx, t_x=t_x)
 
-    counters = np.arange(cycles, dtype=np.uint64)
-    u_exc = rng.uniform(rng.stream_seed(seed, _S_EXCITE), counters)
-    u_two = rng.uniform(rng.stream_seed(seed, _S_TWO_PAIR), counters)
-    e_xx = rng.exponential(rng.stream_seed(seed, _S_EXP_XX), counters, params.tau_xx)
-    e_x = rng.exponential(rng.stream_seed(seed, _S_EXP_X), counters, params.tau_x)
-    e_xx2 = rng.exponential(rng.stream_seed(seed, _S_EXP_XX_EXTRA), counters, params.tau_xx)
-    e_x2 = rng.exponential(rng.stream_seed(seed, _S_EXP_X_EXTRA), counters, params.tau_x)
-
-    cyc = np.arange(cycles, dtype=np.int64)
-    excited = on & (u_exc < params.p_emit_pi)
-    extra = excited & (u_two < params.two_pair_prob)
-    pulse_abs = cyc * params.rep_period
-
-    def pick(mask, exx, ex):
-        t_xx = pulse_abs[mask] + exx[mask]
-        return EmissionRecords(cycle=cyc[mask], t_xx=t_xx, t_x=t_xx + ex[mask])
-
-    primary = pick(excited, e_xx, e_x)
-    if not np.any(extra):
+    primary = pick(excited, _S_EXP_XX, _S_EXP_X)
+    if not len(extra):
         return primary
-    second = pick(extra, e_xx2, e_x2)
-    return merge_records(primary, second)
+    return merge_records(primary, pick(extra, _S_EXP_XX_EXTRA, _S_EXP_X_EXTRA))
 
 
 def merge_records(a: EmissionRecords, b: EmissionRecords) -> EmissionRecords:

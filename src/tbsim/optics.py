@@ -394,42 +394,40 @@ def simulate_hom_run(emitter: EmitterParams, analyzer: Interferometer,
 
     Pulse pairs are spaced two repetition periods apart (pulse picking) so
     the neighbouring-cycle coincidence cluster cannot leak into the
-    outermost five-peak windows.
+    outermost five-peak windows.  Counter-indexed: each stream is drawn at
+    the counters of the cycles that read it, and no draw depends on another.
     """
     if not (0.0 <= mutual_visibility <= 1.0):
         raise ValueError("mutual_visibility must be in [0, 1]")
     d = analyzer.delay
-    on = blinking_telegraph(emitter.blinking_on_fraction,
-                            emitter.blinking_mean_on_cycles, seed, cycles).astype(bool)
-    c = np.arange(cycles, dtype=np.uint64)
-    u = {s: rng.uniform(rng.stream_seed(seed, s), c)
-         for s in (_H_EXC0, _H_EXC1, _H_PATH0, _H_PATH1, _H_SURV0, _H_SURV1,
-                   _H_BUNCH, _H_DET0, _H_DET1, _H_BUNCH_DET)}
-    e0 = rng.exponential(rng.stream_seed(seed, _H_EXP0), c, emitter.tau_xx)
-    e1 = rng.exponential(rng.stream_seed(seed, _H_EXP1), c, emitter.tau_xx)
+    on_cycles = np.flatnonzero(blinking_telegraph(
+        emitter.blinking_on_fraction, emitter.blinking_mean_on_cycles, seed, cycles))
 
-    emit0 = on & (u[_H_EXC0] < emitter.p_emit_pi) & (u[_H_SURV0] < 0.5)
-    emit1 = on & (u[_H_EXC1] < emitter.p_emit_pi) & (u[_H_SURV1] < 0.5)
-    path0 = (u[_H_PATH0] < 0.5).astype(np.int8)
-    path1 = (u[_H_PATH1] < 0.5).astype(np.int8)
+    def coin(stream, cyc, p):  # per cycle of `cyc`: is its uniform on `stream` below p
+        return rng.uniform(rng.stream_seed(seed, stream), cyc) < p
 
-    overlap = emit0 & emit1 & (path0 == 1) & (path1 == 0)
-    bunch = overlap & (u[_H_BUNCH] < mutual_visibility)
+    def pulse(s_exc, s_surv, s_path, s_det):  # emitted cycles, their arms and detectors
+        excited = on_cycles[coin(s_exc, on_cycles, emitter.p_emit_pi)]
+        i = excited[coin(s_surv, excited, 0.5)]
+        return i, coin(s_path, i, 0.5).astype(np.int8), coin(s_det, i, 0.5).astype(np.int8)
 
-    det0 = (u[_H_DET0] < 0.5).astype(np.int8)
-    det1 = (u[_H_DET1] < 0.5).astype(np.int8)
-    bunch_det = (u[_H_BUNCH_DET] < 0.5).astype(np.int8)
-    det0 = np.where(bunch, bunch_det, det0)
-    det1 = np.where(bunch, bunch_det, det1)
+    i0, path0, det0 = pulse(_H_EXC0, _H_SURV0, _H_PATH0, _H_DET0)
+    i1, path1, det1 = pulse(_H_EXC1, _H_SURV1, _H_PATH1, _H_DET1)
+
+    overlap = np.intersect1d(i0[path0 == 1], i1[path1 == 0], assume_unique=True)
+    bunch = overlap[coin(_H_BUNCH, overlap, mutual_visibility)]
+    bunch_det = coin(_H_BUNCH_DET, bunch, 0.5)
+    det0[np.searchsorted(i0, bunch)] = bunch_det
+    det1[np.searchsorted(i1, bunch)] = bunch_det
 
     pair_period = 2.0 * emitter.rep_period
-    cyc_t = np.arange(cycles) * pair_period
-    t0 = cyc_t[emit0] + path0[emit0] * d + e0[emit0]
-    t1 = cyc_t[emit1] + d + path1[emit1] * d + e1[emit1]
+    t0 = i0 * pair_period + path0 * d + rng.exponential(
+        rng.stream_seed(seed, _H_EXP0), i0, emitter.tau_xx)
+    t1 = i1 * pair_period + d + path1 * d + rng.exponential(
+        rng.stream_seed(seed, _H_EXP1), i1, emitter.tau_xx)
 
-    raw_ch = np.concatenate([det0[emit0], det1[emit1]])
-    raw_tm = np.concatenate([t0, t1])
-    return _detect(raw_ch, raw_tm, detectors, cycles * pair_period, seed)
+    return _detect(np.concatenate([det0, det1]), np.concatenate([t0, t1]),
+                   detectors, cycles * pair_period, seed)
 
 
 # --- autocorrelation -------------------------------------------------------

@@ -42,17 +42,20 @@ def parse_seed(text: str) -> int:
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * _MIX1
-    z = z ^ (z >> np.uint64(27))
-    z = z * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64's finaliser, in place on a fresh state array."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def random_u64(seed, counters) -> np.ndarray:
     """SplitMix64 output at the given counters (vectorized, stateless)."""
     c = np.asarray(counters, dtype=np.uint64)
     with np.errstate(over="ignore"):
+        # out of place: `seed` may be an array of keys that broadcasts against c
         state = np.uint64(seed) + (c + np.uint64(1)) * _GOLDEN
         return _mix(state)
 
