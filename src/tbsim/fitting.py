@@ -187,15 +187,16 @@ def _log_bin_probs(edges, tau, t0, sigma):
             z < -30.0, np.log(series * np.sqrt(r / (2.0 * np.pi))) - 0.5 / r, np.log(lower)))
 
     x = edges - t0
-    # log 0 = -inf; min, fmin: rounding far below t0 can lift u and log-differences above 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # log 0 = -inf; fmin: rounding far below t0 can lift u and log-differences above 0, and
+    # where z overflows (sigma near 0) log Phi = -inf makes them NaN, read as F = 0 there
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if sigma == 0:
             log_f = np.log(-np.expm1(-np.maximum(x, 0.0) / tau))
         else:
             z, s = x / sigma, sigma / tau
             log_phi = log_ndtr(z)
             u = s * s / 2.0 - x / tau + log_ndtr(z - s) - log_phi
-            log_f = log_phi + np.log(-np.expm1(np.minimum(u, 0.0)))
+            log_f = log_phi + np.log(-np.expm1(np.fmin(u, 0.0)))
         return log_f[..., 1:] + np.log(-np.expm1(np.fmin(log_f[..., :-1] - log_f[..., 1:], 0.0)))
 
 

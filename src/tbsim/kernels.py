@@ -47,6 +47,27 @@ def telegraph(uniforms, p_on_to_off, p_off_to_on, start_on):
     return (base ^ parity ^ parity[last]).view(np.int8)
 
 
+def first_true(pred, n, m):
+    """First index in [0, n] at which `pred` holds, for each of m queries.
+
+    ``pred(idx)`` maps one index per query (intp, length m, each below n) to
+    one bool per query, false and then true along the indices; n means it
+    holds nowhere.  The predicate itself is evaluated, so no rounded bound
+    can shift the answer.  Every query takes ceil(log2 n) + 1 steps (the
+    branch-free lower bound of Khuong & Morin, ACM JEA 22 (2017)).
+    """
+    base = np.zeros(m, dtype=np.intp)
+    if n == 0:
+        return base
+    size = n
+    while size > 1:  # the answer lies in [base, base + size]
+        half = size // 2
+        base += half * ~pred(base + half)
+        size -= half
+    base += ~pred(base)
+    return base
+
+
 def pair_delay_counts(starts, stops, lo, bin_width, nbins):
     """Histogram of stop - start delays over all pairs with delay in range.
 
@@ -56,32 +77,25 @@ def pair_delay_counts(starts, stops, lo, bin_width, nbins):
     ``int((d - lo) / bin_width)``, and to the last bin where that quotient
     rounds up to ``nbins`` for a delay just below ``hi``.
 
-    Each start's candidate stops are one contiguous run found by
-    ``searchsorted`` (widened by a few ulps, so that rounding in the
-    bounds cannot drop a pair); the loop then runs over the offset within
-    that run, binning one stop per start at a time (multi-start
-    correlation, Wahl et al., Opt. Express 11, 3583 (2003)).
+    ``d`` does not decrease along the sorted stops, so each start's pairs
+    are one contiguous run of stops, from the first with ``d >= lo`` to the
+    first with ``d >= hi`` (`first_true`).  The loop then runs over the
+    offset within that run, binning one stop per start at a time
+    (multi-start correlation, Wahl et al., Opt. Express 11, 3583 (2003)).
     """
     starts = np.asarray(starts)
     stops = np.asarray(stops)
     counts = np.zeros(nbins, dtype=np.int64)
     hi = lo + bin_width * nbins
-    if len(starts) == 0 or len(stops) == 0:
-        return counts
-
-    big = max(abs(lo), abs(hi), np.abs(starts).max(), np.abs(stops).max())
-    slack = 4.0 * np.spacing(big)
-    first = np.searchsorted(stops, starts + lo - slack, side="left")
-    width = np.searchsorted(stops, starts + hi + slack, side="right") - first
+    first = first_true(lambda j: stops[j] - starts >= lo, len(stops), len(starts))
+    width = first_true(lambda j: stops[j] - starts >= hi, len(stops), len(starts)) - first
 
     # by window length, so the starts whose window reaches offset k are a suffix
     order = np.argsort(width, kind="stable")
     starts, first, width = starts[order], first[order], width[order]
-    for k in range(int(width[-1])):
+    for k in range(int(width.max(initial=0))):
         a = np.searchsorted(width, k, side="right")
-        d = stops[first[a:] + k] - starts[a:]
-        d = d[(d >= lo) & (d < hi)]
-        idx = ((d - lo) / bin_width).astype(np.int64)
+        idx = ((stops[first[a:] + k] - starts[a:] - lo) / bin_width).astype(np.int64)
         np.minimum(idx, nbins - 1, out=idx)
         counts += np.bincount(idx, minlength=nbins)
     return counts

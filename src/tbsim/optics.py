@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .cascade import EmitterParams, blinking_telegraph, sample_pair_emission
-from .kernels import dead_time_mask, pair_delay_counts
+from .kernels import dead_time_mask, first_true, pair_delay_counts
 from .qcore import DensityMatrix
 from .table import format_table, read_table
 
@@ -126,33 +126,17 @@ class CoincidenceHistogram:
     def peak_areas(self, centers, half_width: float) -> np.ndarray:
         """Counts in the bins whose centers lie within +-half_width of each of `centers`.
 
-        One cumulative sum serves every peak. `searchsorted` finds each
-        peak's run of bins; both ends are then moved until they agree with
-        `abs(bin_center - center) <= half_width` as evaluated in floating
-        point, so the selection does not depend on how `center -+ half_width`
-        rounds.
+        A bin counts when ``abs(bin_center - center) <= half_width`` in floating
+        point. The offset ``bin_center - center`` does not decrease along the bins,
+        so each peak's bins run from the first with offset ``>= -half_width`` to the
+        first with offset ``> half_width`` (`first_true`); one cumsum serves all.
         """
         c = self.centers
-        n = len(c)
         pk = np.atleast_1d(np.asarray(centers, dtype=float))
-
-        def offset(i):  # bin center minus peak center, bin index clipped into range
-            return c[np.clip(i, 0, n - 1)] - pk
-
-        # lo: first bin with offset >= -half_width; hi: first bin after lo with
-        # offset > half_width. Both conditions are monotone in the bin index.
-        lo = np.searchsorted(c, pk - half_width, side="left")
-        while np.any(m := (lo > 0) & (offset(lo - 1) >= -half_width)):
-            lo[m] -= 1
-        while np.any(m := (lo < n) & ~(offset(lo) >= -half_width)):
-            lo[m] += 1
-        hi = np.maximum(np.searchsorted(c, pk + half_width, side="right"), lo)
-        while np.any(m := (hi < n) & (offset(hi) <= half_width)):
-            hi[m] += 1
-        while np.any(m := (hi > lo) & ~(offset(hi - 1) <= half_width)):
-            hi[m] -= 1
+        lo = first_true(lambda i: c[i] - pk >= -half_width, len(c), len(pk))
+        hi = first_true(lambda i: c[i] - pk > half_width, len(c), len(pk))
         cum = np.concatenate(([0], np.cumsum(self.counts)))
-        return cum[hi] - cum[lo]
+        return cum[np.maximum(hi, lo)] - cum[lo]
 
     def to_csv(self) -> str:
         return format_table(

@@ -1,6 +1,7 @@
 """Config parsing/hashing and end-to-end CLI runs with exit-code contracts."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -137,6 +138,18 @@ def _decay_hist():
     return "# bin_width_ps=4.0\n# origin_ps=0.0\ndelay_ps,counts\n" + rows
 
 
+def _jittered_decay_hist():
+    # the same decay from 100 ps, seen through a 16 ps FWHM Gaussian response (the
+    # exponnorm density at each bin centre), 100k counts: fits with --jitter-fwhm 16 only
+    s, tau = 16.0 / np.sqrt(8.0 * np.log(2.0)), 300.0
+    t = 2.0 + 4.0 * np.arange(750)
+    pdf = np.exp(s * s / (2 * tau * tau) - (t - 100.0) / tau) / (2 * tau) * np.array(
+        [math.erfc((s / tau - (x - 100.0) / s) / math.sqrt(2.0)) for x in t])
+    counts = np.round(4e5 * pdf).astype(int)
+    rows = "".join(f"{x!r},{c}\n" for x, c in zip(t.tolist(), counts.tolist()))
+    return "# bin_width_ps=4.0\n# origin_ps=0.0\ndelay_ps,counts\n" + rows
+
+
 def _rabi_scan():
     rows = "".join(f"{s!r},{round(1000 * np.sin(np.pi * s / 2) ** 2)}\n"
                    for s in np.round(np.linspace(0.1, 2.5, 25), 6).tolist())
@@ -192,6 +205,12 @@ _MALFORMED = {
                                  ["--jitter-fwhm", "-16"], 3, "jitter-fwhm"),
     "lifetime-nan-jitter": ("analyze lifetime", _decay_hist(),
                             ["--jitter-fwhm", "nan"], 3, "jitter-fwhm"),
+    # z = x / sigma overflows in its square (1e-200) or itself (1e-320) before the onset
+    "lifetime-vanishing-jitter": ("analyze lifetime", _jittered_decay_hist(),
+                                  ["--jitter-fwhm", "1e-200"], 4, "did not converge"),
+    "lifetime-vanishing-jitter-infinite-z": ("analyze lifetime", _jittered_decay_hist(),
+                                             ["--jitter-fwhm", "1e-320"], 4,
+                                             "did not converge"),
     "budget-unparsable-value": ("analyze budget", _budget(count_rate="abc"), [], 3),
     "budget-out-of-range": ("analyze budget", _budget(blinking="1.5"), [], 3),
     "budget-nan-count-rate": ("analyze budget", _budget(count_rate="nan"), [], 3, "rates"),

@@ -125,6 +125,20 @@ def test_lifetime_fit_ideal_detector():
     assert np.isfinite(fit.sigma("tau"))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma", [1e-200, 1e-320])
+def test_lifetime_fit_vanishing_jitter_is_the_jitter_free_fit(sigma):
+    # before the onset z = x / sigma overflows in its square (1e-200) or itself (1e-320):
+    # Phi(z) is 0 there, so those bins have probability 0 as without jitter, not NaN
+    edges = np.array([-8.0, -4.0, 0.0, 4.0, 8.0])
+    assert (fitting._log_bin_probs(edges, 300.0, 0.0, sigma).tolist()
+            == fitting._log_bin_probs(edges, 300.0, 0.0, 0.0).tolist())
+    h = synthetic_lifetime_hist(300.0, 0.0, 100000, seed=300)
+    fit, ideal = fitting.fit_lifetime(h, sigma), fitting.fit_lifetime(h, 0.0)
+    assert fit.converged
+    assert fit.value("tau") == pytest.approx(ideal.value("tau"), rel=1e-9)
+
+
 def test_lifetime_fit_converges_at_20k_counts():
     # correct data: the tail cross-check must accept every fit, also where sparse tail
     # bins hold a few counts or none

@@ -76,6 +76,35 @@ def test_pair_delay_counts_top_edge_in_last_bin():
     assert np.array_equal(got, _pair_delay_oracle(starts, stops, -250250.0, 500.0, 1001))
 
 
+def _sorted_search(a, x, strict=False):
+    """first_true over sorted `a` for each query in `x`: first i with a[i] >= x (> if strict)."""
+    a, x = np.asarray(a, dtype=float), np.asarray(x, dtype=float)
+    pred = (lambda i: a[i] > x) if strict else (lambda i: a[i] >= x)
+    return kernels.first_true(pred, len(a), len(x))
+
+
+def test_first_true_edge_cases():
+    got = _sorted_search([], [1.0, -1.0])  # n = 0: every answer is n
+    assert got.dtype == np.intp and got.tolist() == [0, 0]
+    assert _sorted_search([1.0, 2.0], []).tolist() == []  # m = 0
+    assert _sorted_search([1.0, 2.0, 3.0], [5.0, 3.5]).tolist() == [3, 3]  # all false
+    assert _sorted_search([1.0, 2.0, 3.0], [0.0, 1.0]).tolist() == [0, 0]  # all true
+    assert _sorted_search([1.0], [0.5, 1.0, 1.5]).tolist() == [0, 0, 1]
+    assert _sorted_search([1.0, 1.0, 1.0], [1.0], strict=True).tolist() == [3]
+
+
+@given(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-1e3, 1e3), max_size=70),
+       st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-2e3, 2e3), max_size=10),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_property_first_true_matches_linear_scan(raw, x, strict):
+    # ties and duplicates come from the sampled values; every n from 0 to 70 is reachable
+    a = np.sort(np.array(raw, dtype=float))
+    want = [next((i for i, v in enumerate(a) if (v > q if strict else v >= q)), len(a))
+            for q in x]
+    assert _sorted_search(a, x, strict).tolist() == want
+
+
 def test_dead_time_mask_enforces_spacing():
     times = np.array([0.0, 10.0, 30.0, 31.0, 90.0, 100.0])
     mask = kernels.dead_time_mask(times, 25.0)
@@ -145,7 +174,7 @@ def _pair_delay_case(draw):
 
 
 @given(_pair_delay_case())
-# the stop lies below start + lo, yet stop - start rounds up to lo
+# the stop lies below start + lo, yet stop - start rounds up to lo, so the pair counts
 @example((np.array([1148.4]), np.array([np.nextafter(1148.4 - 750.0, -np.inf)]),
           -750.0, 500.0, 3))
 @settings(max_examples=300, deadline=None)
