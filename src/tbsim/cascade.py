@@ -70,12 +70,18 @@ def two_photon_rabi_population(area: float, damping: float) -> float:
     return damping * np.sin(area / 2.0) ** 2
 
 
-def blinking_telegraph(on_fraction: float, mean_on_duration: float, seed, cycles: int) -> np.ndarray:
-    """Per-cycle ON/OFF sequence of the blinking two-state Markov chain."""
+def _telegraph_blocks(on_fraction: float, mean_on_duration: float, seed, cycles: int):
+    """The blinking chain's per-cycle int8 states, one block of `rng.BLOCK` cycles at a time.
+
+    Each block but the last steps one cycle past its end; the state there
+    starts the next block.
+    """
     if not (0.0 < on_fraction <= 1.0):
         raise ValueError("on_fraction must be in (0, 1]")
     if on_fraction == 1.0:
-        return np.ones(cycles, dtype=np.int8)
+        for a in range(0, cycles, rng.BLOCK):
+            yield np.ones(min(rng.BLOCK, cycles - a), dtype=np.int8)
+        return
     p_on_off = 1.0 / mean_on_duration
     p_off_on = on_fraction * p_on_off / (1.0 - on_fraction)
     if p_off_on > 1.0:
@@ -85,8 +91,29 @@ def blinking_telegraph(on_fraction: float, mean_on_duration: float, seed, cycles
         )
     u_init = rng.uniform(rng.stream_seed(seed, _S_TELEGRAPH_INIT), [0])[0]
     start_on = bool(u_init < on_fraction)
-    us = rng.uniform(rng.stream_seed(seed, _S_TELEGRAPH), np.arange(cycles, dtype=np.uint64))
-    return telegraph(us, p_on_off, p_off_on, start_on)
+    s = rng.stream_seed(seed, _S_TELEGRAPH)
+    for a in range(0, cycles, rng.BLOCK):
+        n = min(rng.BLOCK, cycles - a)
+        us = rng.uniform(s, np.arange(a, min(a + n + 1, cycles), dtype=np.uint64))
+        states = telegraph(us, p_on_off, p_off_on, start_on)
+        if len(states) > n:
+            start_on = bool(states[n])
+        yield states[:n]
+
+
+def blinking_telegraph(on_fraction: float, mean_on_duration: float, seed, cycles: int) -> np.ndarray:
+    """Per-cycle ON/OFF sequence of the blinking two-state Markov chain."""
+    return np.concatenate([np.empty(0, dtype=np.int8),
+                           *_telegraph_blocks(on_fraction, mean_on_duration, seed, cycles)])
+
+
+def on_cycle_blocks(params: EmitterParams, seed, cycles: int):
+    """The ON cycles of the emitter's blinking telegraph, one block of cycles at a time."""
+    a = 0
+    for states in _telegraph_blocks(params.blinking_on_fraction,
+                                    params.blinking_mean_on_cycles, seed, cycles):
+        yield np.flatnonzero(states) + a
+        a += len(states)
 
 
 def sample_pair_emission(params: EmitterParams, seed, cycles: int) -> EmissionRecords:
@@ -100,34 +127,44 @@ def sample_pair_emission(params: EmitterParams, seed, cycles: int) -> EmissionRe
     counters of the cycles that read it (excitation at ON cycles, the rest
     at excited ones), and the draw at a counter does not depend on which
     others are drawn, so identical (seed, params) give a bit-identical
-    stream.
+    stream.  The per-cycle stages run one block of cycles at a time, so the
+    only whole-run arrays are per excitation.
     """
-    on_cycles = np.flatnonzero(blinking_telegraph(
-        params.blinking_on_fraction, params.blinking_mean_on_cycles, seed, cycles))
-    excited = on_cycles[
-        rng.uniform(rng.stream_seed(seed, _S_EXCITE), on_cycles) < params.p_emit_pi]
+    s_exc = rng.stream_seed(seed, _S_EXCITE)
+    excited = np.concatenate([np.empty(0, dtype=np.int64)] + [
+        on[rng.below(s_exc, on, params.p_emit_pi)]
+        for on in on_cycle_blocks(params, seed, cycles)])
     extra = excited[
-        rng.uniform(rng.stream_seed(seed, _S_TWO_PAIR), excited) < params.two_pair_prob]
+        rng.below(rng.stream_seed(seed, _S_TWO_PAIR), excited, params.two_pair_prob)]
 
-    def pick(cyc, s_xx, s_x):
-        t_xx = cyc * params.rep_period + rng.exponential(
-            rng.stream_seed(seed, s_xx), cyc, params.tau_xx)
-        t_x = t_xx + rng.exponential(rng.stream_seed(seed, s_x), cyc, params.tau_x)
-        return EmissionRecords(cycle=cyc, t_xx=t_xx, t_x=t_x)
-
-    primary = pick(excited, _S_EXP_XX, _S_EXP_X)
-    if not len(extra):
-        return primary
-    return merge_records(primary, pick(extra, _S_EXP_XX_EXTRA, _S_EXP_X_EXTRA))
+    # the extra pairs follow the primary ones; a stable sort by t_xx then merges them
+    rec = EmissionRecords(cycle=np.concatenate([excited, extra]))
+    n = len(excited)
+    del excited
+    rec.t_xx = rec.cycle * params.rep_period
+    rec.t_x = np.empty(len(rec))
+    for part, s_xx, s_x in ((slice(0, n), _S_EXP_XX, _S_EXP_X),
+                            (slice(n, None), _S_EXP_XX_EXTRA, _S_EXP_X_EXTRA)):
+        rec.t_xx[part] += rng.exponential(
+            rng.stream_seed(seed, s_xx), rec.cycle[part], params.tau_xx)
+        rec.t_x[part] = rng.exponential(
+            rng.stream_seed(seed, s_x), rec.cycle[part], params.tau_x)
+    rec.t_x += rec.t_xx
+    return _sort_by_t_xx(rec) if len(extra) else rec
 
 
 def merge_records(a: EmissionRecords, b: EmissionRecords) -> EmissionRecords:
-    order = np.argsort(np.concatenate([a.t_xx, b.t_xx]), kind="stable")
-    return EmissionRecords(
-        cycle=np.concatenate([a.cycle, b.cycle])[order],
-        t_xx=np.concatenate([a.t_xx, b.t_xx])[order],
-        t_x=np.concatenate([a.t_x, b.t_x])[order],
-    )
+    """The records of a, then b, in one stream ordered by t_xx (stable); a and b are unchanged."""
+    return _sort_by_t_xx(EmissionRecords(
+        *(np.concatenate([getattr(a, f), getattr(b, f)]) for f in ("cycle", "t_xx", "t_x"))))
+
+
+def _sort_by_t_xx(records: EmissionRecords) -> EmissionRecords:
+    """`records` reordered by t_xx (stable sort) in place, one column at a time."""
+    order = np.argsort(records.t_xx, kind="stable")
+    for f in ("cycle", "t_xx", "t_x"):
+        setattr(records, f, getattr(records, f)[order])
+    return records
 
 
 def two_pair_prob_for_g2(g2_target: float, params: EmitterParams) -> float:

@@ -137,13 +137,27 @@ def _simulate_tomography(cfg: RunConfig, run: _Run) -> None:
     run.write("tomography_counts.csv", table.to_csv())
 
 
+def _check_resolution(key: str, cycles: int, period: float, bin_width: float) -> None:
+    """Reject a cycle count whose last timestamps float64 cannot resolve to the bin width."""
+    from .config import ConfigError
+    try:
+        end = cycles * period
+    except OverflowError:  # a count beyond the float range
+        end = float("inf")
+    if not np.spacing(end) <= bin_width:
+        raise ConfigError(key, f"the run would end at {end:.3g} ps, where float64 timestamps "
+                          f"lie more than the {bin_width:g} ps histogram bin apart")
+
+
 def _simulate_hom(cfg: RunConfig, run: _Run) -> None:
     from . import optics
+    bin_width = 50.0
+    _check_resolution("hom.cycles", cfg.hom_cycles, 2.0 * cfg.emitter.rep_period, bin_width)
     events = optics.simulate_hom_run(
         cfg.emitter, cfg.analyzer_xx, cfg.hom_mutual_visibility,
         cfg.detectors, cfg.hom_cycles, cfg.seed)
     hist = optics.histogram_events(
-        events, 0, 1, bin_width=50.0, max_delay=2.6 * cfg.analyzer_xx.delay)
+        events, 0, 1, bin_width=bin_width, max_delay=2.6 * cfg.analyzer_xx.delay)
     run.write("hom_hist.csv", hist.to_csv())
 
 
@@ -155,13 +169,14 @@ def _simulate_autocorr(cfg: RunConfig, run: _Run) -> None:
         two_pair_prob = two_pair_prob_for_g2(cfg.autocorr_g2_target, cfg.emitter)
     except ValueError as exc:
         raise ConfigError("autocorr.g2_target", str(exc)) from None
+    bin_width = cfg.emitter.rep_period / 25.0
+    _check_resolution("autocorr.cycles", cfg.autocorr_cycles, cfg.emitter.rep_period, bin_width)
     emitter = dataclasses.replace(cfg.emitter, two_pair_prob=two_pair_prob)
     events = optics.simulate_autocorrelation(
         emitter, cfg.autocorr_photon, cfg.detectors, cfg.autocorr_cycles,
         cfg.seed)
     hist = optics.histogram_events(
-        events, 0, 1, bin_width=cfg.emitter.rep_period / 25.0,
-        max_delay=20.5 * cfg.emitter.rep_period)
+        events, 0, 1, bin_width=bin_width, max_delay=20.5 * cfg.emitter.rep_period)
     run.write("autocorr_hist.csv", hist.to_csv())
 
 
@@ -171,9 +186,10 @@ def _simulate_lifetime(cfg: RunConfig, run: _Run) -> None:
     rng = CounterRng(cfg.seed, stream=80)
     n = cfg.lifetime_counts
     t0 = 8.0 * cfg.detectors.jitter_sigma
-    t = t0 + rng.exponential(n, cfg.lifetime_tau)
+    t = rng.exponential(n, cfg.lifetime_tau)
+    t += t0
     if cfg.detectors.jitter_sigma > 0:
-        t = t + rng.normal(n, cfg.detectors.jitter_sigma)
+        t += rng.normal(n, cfg.detectors.jitter_sigma)
     bin_width = 4.0
     lo = -32.0 * bin_width
     hi = t0 + 12.0 * cfg.lifetime_tau

@@ -102,12 +102,25 @@ def pair_delay_counts(starts, stops, lo, bin_width, nbins):
 
 
 def dead_time_mask(times, dead_time):
-    """Keep-mask for a sorted single-channel time series with dead time."""
+    """Keep-mask for a sorted single-channel time series with dead time.
+
+    A click is kept when ``t - last >= dead_time``, with ``last`` the latest
+    kept click (the first click is always kept).  A click that far after
+    its predecessor is kept whatever came before.  From each such click the
+    chain of kept clicks is followed, all chains at once, until it reaches
+    the next such click; each link is the first later click that meets the
+    same predicate (`first_true`, found for every click in one pass).
+    """
+    times = np.asarray(times)
     n = len(times)
-    mask = np.zeros(n, dtype=np.bool_)
-    last = -np.inf
-    for i in range(n):
-        if times[i] - last >= dead_time:
-            mask[i] = True
-            last = times[i]
+    i = np.arange(n)
+    nxt = first_true(lambda j: (j > i) & (times[j] - times >= dead_time), n, n)
+    mask = np.diff(times, prepend=-np.inf) >= dead_time
+    cur = np.flatnonzero(mask)
+    end = np.append(cur[1:], n)  # the next click kept whatever came before, or n
+    while len(cur):
+        cur = nxt[cur]
+        live = cur < end
+        cur, end = cur[live], end[live]
+        mask[cur] = True
     return mask

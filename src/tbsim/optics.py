@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .cascade import EmitterParams, blinking_telegraph, sample_pair_emission
+from .cascade import EmitterParams, blinking_telegraph, on_cycle_blocks, sample_pair_emission
 from .kernels import dead_time_mask, first_true, pair_delay_counts
 from .qcore import DensityMatrix
 from .table import format_table, read_table
@@ -213,11 +213,11 @@ def _detect(raw_channel: np.ndarray, raw_time: np.ndarray, detectors: DetectorMo
     r_jit = rng.CounterRng(seed, 101)
     r_dark = rng.CounterRng(seed, 102)
 
-    keep = r_eff.uniform(len(raw_time)) < detectors.efficiency
+    keep = r_eff.below(len(raw_time), detectors.efficiency)
     ch = raw_channel[keep]
     tm = raw_time[keep]
     if detectors.jitter_sigma > 0 and len(tm):
-        tm = tm + r_jit.normal(len(tm), detectors.jitter_sigma)
+        tm += r_jit.normal(len(tm), detectors.jitter_sigma)
 
     mean_dark = detectors.dark_count_rate * duration * 1e-12
     if mean_dark > 0:
@@ -380,37 +380,49 @@ def simulate_hom_run(emitter: EmitterParams, analyzer: Interferometer,
     the neighbouring-cycle coincidence cluster cannot leak into the
     outermost five-peak windows.  Counter-indexed: each stream is drawn at
     the counters of the cycles that read it, and no draw depends on another.
+    The per-cycle stages run one block of cycles at a time (a pulse pair
+    never spans two), so the only whole-run arrays are per photon.
     """
     if not (0.0 <= mutual_visibility <= 1.0):
         raise ValueError("mutual_visibility must be in [0, 1]")
     d = analyzer.delay
-    on_cycles = np.flatnonzero(blinking_telegraph(
-        emitter.blinking_on_fraction, emitter.blinking_mean_on_cycles, seed, cycles))
 
     def coin(stream, cyc, p):  # per cycle of `cyc`: is its uniform on `stream` below p
-        return rng.uniform(rng.stream_seed(seed, stream), cyc) < p
+        return rng.below(rng.stream_seed(seed, stream), cyc, p)
 
-    def pulse(s_exc, s_surv, s_path, s_det):  # emitted cycles, their arms and detectors
-        excited = on_cycles[coin(s_exc, on_cycles, emitter.p_emit_pi)]
+    def pulse(on, s_exc, s_surv, s_path, s_det):  # emitted cycles, long arm?, detector 1?
+        excited = on[coin(s_exc, on, emitter.p_emit_pi)]
         i = excited[coin(s_surv, excited, 0.5)]
-        return i, coin(s_path, i, 0.5).astype(np.int8), coin(s_det, i, 0.5).astype(np.int8)
+        return i, coin(s_path, i, 0.5), coin(s_det, i, 0.5)
 
-    i0, path0, det0 = pulse(_H_EXC0, _H_SURV0, _H_PATH0, _H_DET0)
-    i1, path1, det1 = pulse(_H_EXC1, _H_SURV1, _H_PATH1, _H_DET1)
+    # i0, path0, det0, i1, path1, det1, block by block
+    cols = [[np.empty(0, dtype)] for dtype in (np.int64, np.bool_, np.bool_) * 2]
+    for on in on_cycle_blocks(emitter, seed, cycles):
+        i0, path0, det0 = pulse(on, _H_EXC0, _H_SURV0, _H_PATH0, _H_DET0)
+        i1, path1, det1 = pulse(on, _H_EXC1, _H_SURV1, _H_PATH1, _H_DET1)
+        overlap = np.intersect1d(i0[path0], i1[~path1], assume_unique=True)
+        bunch = overlap[coin(_H_BUNCH, overlap, mutual_visibility)]
+        bunch_det = coin(_H_BUNCH_DET, bunch, 0.5)
+        det0[np.searchsorted(i0, bunch)] = bunch_det
+        det1[np.searchsorted(i1, bunch)] = bunch_det
+        for col, x in zip(cols, (i0, path0, det0, i1, path1, det1)):
+            col.append(x)
+    i0, path0, det0, i1, path1, det1 = (np.concatenate(col) for col in cols)
+    del cols
 
-    overlap = np.intersect1d(i0[path0 == 1], i1[path1 == 0], assume_unique=True)
-    bunch = overlap[coin(_H_BUNCH, overlap, mutual_visibility)]
-    bunch_det = coin(_H_BUNCH_DET, bunch, 0.5)
-    det0[np.searchsorted(i0, bunch)] = bunch_det
-    det1[np.searchsorted(i1, bunch)] = bunch_det
-
+    # the photons of pulse 0, then of pulse 1, timed in place in one array
     pair_period = 2.0 * emitter.rep_period
-    t0 = i0 * pair_period + path0 * d + rng.exponential(
-        rng.stream_seed(seed, _H_EXP0), i0, emitter.tau_xx)
-    t1 = i1 * pair_period + d + path1 * d + rng.exponential(
-        rng.stream_seed(seed, _H_EXP1), i1, emitter.tau_xx)
-
-    return _detect(np.concatenate([det0, det1]), np.concatenate([t0, t1]),
+    raw_time = np.empty(len(i0) + len(i1))
+    t0, t1 = raw_time[:len(i0)], raw_time[len(i0):]
+    np.multiply(i0, pair_period, out=t0)
+    t0 += path0 * d
+    t0 += rng.exponential(rng.stream_seed(seed, _H_EXP0), i0, emitter.tau_xx)
+    np.multiply(i1, pair_period, out=t1)
+    t1 += d
+    t1 += path1 * d
+    t1 += rng.exponential(rng.stream_seed(seed, _H_EXP1), i1, emitter.tau_xx)
+    del i0, i1  # only the photons' channels and times reach the detectors
+    return _detect(np.concatenate([det0, det1]).view(np.int8), raw_time,
                    detectors, cycles * pair_period, seed)
 
 
@@ -421,10 +433,9 @@ def simulate_autocorrelation(emitter: EmitterParams, photon: str,
     """Hanbury Brown-Twiss stream of one photon species split 50/50."""
     if photon not in ("xx", "x"):
         raise ValueError("photon must be 'xx' or 'x'")
-    records = sample_pair_emission(emitter, seed, cycles)
-    tm = records.t_xx if photon == "xx" else records.t_x
-    r_split = rng.CounterRng(seed, 40)
-    ch = (r_split.uniform(len(tm)) < 0.5).astype(np.int8)
+    # only the detected photon's times outlive the records
+    tm = getattr(sample_pair_emission(emitter, seed, cycles), f"t_{photon}")
+    ch = rng.CounterRng(seed, 40).below(len(tm), 0.5).view(np.int8)
     return _detect(ch, tm, detectors, cycles * emitter.rep_period, seed)
 
 

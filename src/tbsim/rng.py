@@ -29,6 +29,11 @@ _SALT = np.uint64(0x6A09E667F3BCC908)
 # 53-bit mantissa step for uniforms in [0, 1)
 _INV53 = 1.0 / float(1 << 53)
 
+# Counters per block: runs draw and step their per-cycle streams this many
+# counters at a time, so no whole-run per-cycle array exists. A draw at a
+# counter does not depend on the blocking, so neither does any output.
+BLOCK = 1 << 15
+
 
 def parse_seed(text: str) -> int:
     """A run seed: an unsigned 64-bit integer, in any base `int(text, 0)` reads."""
@@ -52,12 +57,18 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 
 def random_u64(seed, counters) -> np.ndarray:
-    """SplitMix64 output at the given counters (vectorized, stateless)."""
-    c = np.asarray(counters, dtype=np.uint64)
+    """SplitMix64 output at the given counters (vectorized, stateless).
+
+    Computed in place on one fresh copy of the counters. `seed` may be an
+    array of keys that broadcasts against them (`CounterRng.poisson`).
+    """
+    state = np.array(counters, dtype=np.uint64)
+    seed = np.uint64(seed)
     with np.errstate(over="ignore"):
-        # out of place: `seed` may be an array of keys that broadcasts against c
-        state = np.uint64(seed) + (c + np.uint64(1)) * _GOLDEN
-        return _mix(state)
+        state += np.uint64(1)
+        state *= _GOLDEN
+        state = np.add(state, seed, out=state if np.ndim(seed) == 0 else None)
+    return _mix(state)
 
 
 def stream_seed(seed, stream: int) -> np.uint64:
@@ -67,15 +78,27 @@ def stream_seed(seed, stream: int) -> np.uint64:
 
 
 def uniform(seed, counters) -> np.ndarray:
-    """Uniforms in [0, 1) with 53 random mantissa bits."""
+    """Uniforms in [0, 1) with 53 random mantissa bits, in place on the raw outputs."""
     u = random_u64(seed, counters)
-    return (u >> np.uint64(11)).astype(np.float64) * _INV53
+    u >>= np.uint64(11)
+    return np.multiply(u, _INV53, out=u.view(np.float64))
 
 
 def exponential(seed, counters, scale) -> np.ndarray:
-    """Exponential variates with the given mean via inverse CDF."""
-    u = uniform(seed, counters)
-    return -scale * np.log1p(-u)
+    """Exponential variates with the given mean via inverse CDF, in place."""
+    x = uniform(seed, counters)
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    x *= -scale
+    return x
+
+
+def below(seed, counters, p) -> np.ndarray:
+    """Coins `uniform(seed, counters) < p`, drawn `BLOCK` counters at a time."""
+    out = np.empty(len(counters), dtype=np.bool_)
+    for a in range(0, len(counters), BLOCK):
+        np.less(uniform(seed, counters[a:a + BLOCK]), p, out=out[a:a + BLOCK])
+    return out
 
 
 def normal_pairs(seed, counters) -> np.ndarray:
@@ -84,20 +107,25 @@ def normal_pairs(seed, counters) -> np.ndarray:
     Counter n consumes the pair of SplitMix64 outputs at (2n, 2n + 1),
     so draws at distinct counters never overlap.
     """
-    c = np.asarray(counters, dtype=np.uint64)
+    c = np.array(counters, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        u1 = uniform(seed, c * np.uint64(2))
-        u2 = uniform(seed, c * np.uint64(2) + np.uint64(1))
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    return r * np.cos(2.0 * np.pi * u2)
+        c *= np.uint64(2)
+        r = exponential(seed, c, 2.0)  # -2 ln(1 - u1), in place
+        c += np.uint64(1)
+        cos = uniform(seed, c)
+    np.sqrt(r, out=r)
+    cos *= 2.0 * np.pi
+    np.cos(cos, out=cos)
+    r *= cos
+    return r
 
 
 class CounterRng:
     """Convenience wrapper tying a (seed, stream) pair to a moving counter.
 
-    Each call of `uniform`, `exponential`, `normal` or `poisson` takes the
-    next counters, one per variate; fixed-layout callers can instead use the
-    stateless module functions with explicit counters.
+    Each call of `uniform`, `exponential`, `normal`, `below` or `poisson`
+    takes the next counters, one per variate; fixed-layout callers can
+    instead use the stateless module functions with explicit counters.
     """
 
     def __init__(self, seed, stream: int = 0):
@@ -116,7 +144,13 @@ class CounterRng:
         return exponential(self.seed, self._next_counters(n), scale)
 
     def normal(self, n: int, sigma: float = 1.0) -> np.ndarray:
-        return sigma * normal_pairs(self.seed, self._next_counters(n))
+        z = normal_pairs(self.seed, self._next_counters(n))
+        z *= sigma
+        return z
+
+    def below(self, n: int, p) -> np.ndarray:
+        """Coins `uniform(n) < p`, drawn `BLOCK` counters at a time."""
+        return below(self.seed, self._next_counters(n), p)
 
     def poisson(self, means) -> np.ndarray:
         """Poisson counts, one per entry of `means`.

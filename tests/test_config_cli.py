@@ -238,6 +238,15 @@ _MALFORMED = {
         "simulate tomography", "tomography.cycles_per_setting = -5\n", [], 2),
     "hom-zero-cycles": ("simulate hom", "hom.cycles = 0\n", [], 2),
     "autocorr-zero-cycles": ("simulate autocorr", "autocorr.cycles = 0\n", [], 2),
+    # float64 timestamps near the run's end lie 4096 and 2048 ps apart, more than
+    # one histogram bin (50 and 500 ps); rejected before anything is drawn
+    "hom-cycles-beyond-timestamp-resolution": (
+        "simulate hom", "hom.cycles = 1000000000000000\n", [], 2, "'hom.cycles'"),
+    "autocorr-cycles-beyond-timestamp-resolution": (
+        "simulate autocorr", "autocorr.cycles = 1000000000000000\n", [], 2,
+        "'autocorr.cycles'"),
+    "autocorr-cycles-beyond-float-range": (
+        "simulate autocorr", f"autocorr.cycles = {10**400}\n", [], 2, "'autocorr.cycles'"),
     "lifetime-zero-counts": ("simulate lifetime", "lifetime.counts = 0\n", [], 2),
     "lifetime-negative-tau": ("simulate lifetime", "lifetime.tau_ps = -300\n", [], 2,
                               "lifetime.tau_ps"),

@@ -135,6 +135,17 @@ def test_property_dead_time_spacing(raw, dead):
         assert np.all(np.diff(kept) >= dead)
 
 
+@given(st.lists(st.integers(0, 5), max_size=60), st.integers(0, 4),
+       st.sampled_from([0.5, 1.0, 0.1, 3.7]))
+@settings(max_examples=300, deadline=None)
+def test_property_dead_time_mask_matches_greedy_oracle(steps, dead, unit):
+    # integer steps of one unit: ties (step 0) and gaps of exactly the dead time
+    times = np.cumsum(np.array(steps, dtype=np.int64)) * unit
+    dead_time = dead * unit
+    assert kernels.dead_time_mask(times, dead_time).tolist() == \
+        _dead_time_oracle(times, dead_time)
+
+
 # Probabilities shared by both transitions, so that p_on_off < p_off_on,
 # p_on_off == p_off_on and p_on_off > p_off_on all occur, and uniforms that
 # land exactly on a probability.

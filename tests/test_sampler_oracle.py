@@ -1,10 +1,11 @@
 """The cycle-indexed samplers against their full-draw originals, and their memory.
 
 `sample_pair_emission` and `simulate_hom_run` draw each stream only at the
-cycles that read it. The reference implementations below are the former
-versions, which drew every stream at every cycle and masked the draws down.
-Both read the same (stream, counter) draws, so their outputs must be equal
-array for array.
+cycles that read it, one block of `rng.BLOCK` cycles at a time. The
+reference implementations below are the former versions, which stepped the
+telegraph over the whole run in one call, drew every stream at every cycle
+and masked the draws down. Both read the same (stream, counter) draws, so
+their outputs must be equal array for array, for any block size.
 """
 
 import dataclasses
@@ -13,13 +14,16 @@ import os
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from tbsim import rng
 from tbsim.cascade import (_S_EXCITE, _S_EXP_X, _S_EXP_X_EXTRA, _S_EXP_XX,
-                           _S_EXP_XX_EXTRA, _S_TWO_PAIR, EmissionRecords,
-                           EmitterParams, blinking_telegraph, merge_records,
-                           sample_pair_emission, two_pair_prob_for_g2)
+                           _S_EXP_XX_EXTRA, _S_TELEGRAPH, _S_TELEGRAPH_INIT,
+                           _S_TWO_PAIR, EmissionRecords, EmitterParams,
+                           blinking_telegraph, merge_records, sample_pair_emission,
+                           two_pair_prob_for_g2)
 from tbsim.config import RunConfig
+from tbsim.kernels import telegraph
 from tbsim.optics import (_H_BUNCH, _H_BUNCH_DET, _H_DET0, _H_DET1, _H_EXC0,
                           _H_EXC1, _H_EXP0, _H_EXP1, _H_PATH0, _H_PATH1,
                           _H_SURV0, _H_SURV1, DetectorModel, Interferometer,
@@ -28,11 +32,30 @@ from tbsim.optics import (_H_BUNCH, _H_BUNCH_DET, _H_DET0, _H_DET1, _H_EXC0,
 # --- reference implementations: the full-draw samplers, verbatim ------------
 
 
+def whole_run_telegraph(on_fraction: float, mean_on_duration: float, seed,
+                        cycles: int) -> np.ndarray:
+    if not (0.0 < on_fraction <= 1.0):
+        raise ValueError("on_fraction must be in (0, 1]")
+    if on_fraction == 1.0:
+        return np.ones(cycles, dtype=np.int8)
+    p_on_off = 1.0 / mean_on_duration
+    p_off_on = on_fraction * p_on_off / (1.0 - on_fraction)
+    if p_off_on > 1.0:
+        raise ValueError(
+            f"on_fraction {on_fraction} with mean ON duration {mean_on_duration} "
+            "implies an OFF dwell shorter than one cycle"
+        )
+    u_init = rng.uniform(rng.stream_seed(seed, _S_TELEGRAPH_INIT), [0])[0]
+    start_on = bool(u_init < on_fraction)
+    us = rng.uniform(rng.stream_seed(seed, _S_TELEGRAPH), np.arange(cycles, dtype=np.uint64))
+    return telegraph(us, p_on_off, p_off_on, start_on)
+
+
 def full_draw_sample_pair_emission(params: EmitterParams, seed, cycles: int) -> EmissionRecords:
     if cycles == 0:
         return EmissionRecords()
 
-    on = blinking_telegraph(
+    on = whole_run_telegraph(
         params.blinking_on_fraction, params.blinking_mean_on_cycles, seed, cycles
     ).astype(bool)
 
@@ -66,8 +89,8 @@ def full_draw_simulate_hom_run(emitter: EmitterParams, analyzer: Interferometer,
     if not (0.0 <= mutual_visibility <= 1.0):
         raise ValueError("mutual_visibility must be in [0, 1]")
     d = analyzer.delay
-    on = blinking_telegraph(emitter.blinking_on_fraction,
-                            emitter.blinking_mean_on_cycles, seed, cycles).astype(bool)
+    on = whole_run_telegraph(emitter.blinking_on_fraction,
+                             emitter.blinking_mean_on_cycles, seed, cycles).astype(bool)
     c = np.arange(cycles, dtype=np.uint64)
     u = {s: rng.uniform(rng.stream_seed(seed, s), c)
          for s in (_H_EXC0, _H_EXC1, _H_PATH0, _H_PATH1, _H_SURV0, _H_SURV1,
@@ -140,6 +163,59 @@ def test_simulate_hom_run_equals_full_draw():
                 assert np.array_equal(g, w), (name, label)
 
 
+# --- block edges ---------------------------------------------------------------
+# Every count above is below one block of rng.BLOCK cycles. With small blocks,
+# runs cross many block edges, and the telegraph's state crosses each.
+
+BLOCKS = (1, 7, 64)
+
+
+def _straddling(block):
+    return sorted({0, 1, block - 1, block, block + 1, 5 * block + 3, 40 * block + 5})
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_blocked_telegraph_equals_one_whole_run_call(monkeypatch, block):
+    monkeypatch.setattr(rng, "BLOCK", block)
+    for f, mean_on, seed in itertools.product((1.0, 0.625, 0.3), (3.0, 200.0), (5, 77)):
+        for cycles in _straddling(block):
+            got = blinking_telegraph(f, mean_on, seed, cycles)
+            want = whole_run_telegraph(f, mean_on, seed, cycles)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (f, mean_on, cycles)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_blocked_coins_equal_whole_run_coins(monkeypatch, block):
+    monkeypatch.setattr(rng, "BLOCK", block)
+    counters = np.arange(3, 3 + 10 * block + 4) ** 2
+    for p in (0.0, 0.25, 0.5, 1.0):
+        assert np.array_equal(rng.below(9, counters, p), rng.uniform(9, counters) < p)
+        r, want = rng.CounterRng(9, 3), rng.CounterRng(9, 3)
+        for n in (0, 1, block + 1, 3 * block):
+            assert np.array_equal(r.below(n, p), want.uniform(n) < p)
+        assert r.counter == want.counter
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_samplers_equal_full_draw_across_block_edges(monkeypatch, block):
+    monkeypatch.setattr(rng, "BLOCK", block)
+    analyzer = Interferometer(delay=3000.0)
+    det = DETECTORS[1]  # below efficiency 1, its coins cross block edges too
+    for seed, em in _emitters():
+        em = dataclasses.replace(em, blinking_mean_on_cycles=3.0)  # many flips per block
+        for cycles in _straddling(block):
+            got = sample_pair_emission(em, seed, cycles)
+            want = full_draw_sample_pair_emission(em, seed, cycles)
+            for name in ("cycle", "t_xx", "t_x"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (name, em, cycles)
+            for v in MUTUAL_V:
+                got = simulate_hom_run(em, analyzer, v, det, cycles, seed)
+                want = full_draw_simulate_hom_run(em, analyzer, v, det, cycles, seed)
+                for name in ("channel", "time"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                        (name, em, v, det, cycles)
+
+
 # --- memory: what a run holds per cycle ---------------------------------------
 
 _MEMORY_CYCLES = 100_000
@@ -151,7 +227,7 @@ def _baseline():
     return RunConfig.from_file(os.path.join(root, "baseline.cfg"))
 
 
-def _peak_bytes_per_cycle(fn):
+def _peak_bytes_per_cycle(fn, cycles=_MEMORY_CYCLES):
     """tracemalloc's peak over one call, per cycle; it counts numpy's data buffers."""
     tracemalloc.start()
     try:
@@ -161,7 +237,7 @@ def _peak_bytes_per_cycle(fn):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - base) / _MEMORY_CYCLES
+    return (peak - base) / cycles
 
 
 def test_hom_run_memory_per_cycle():
@@ -179,3 +255,25 @@ def test_autocorrelation_memory_per_cycle():
     per_cycle = _peak_bytes_per_cycle(lambda: simulate_autocorrelation(
         emitter, cfg.autocorr_photon, cfg.detectors, _MEMORY_CYCLES, cfg.seed))
     assert per_cycle <= _MAX_BYTES_PER_CYCLE, f"{per_cycle:.1f} B/cycle"
+
+
+# With the per-cycle stages in blocks, only per-photon arrays span the run:
+# 11 and 16.5 B/cycle at this count, against 32 with whole-run per-cycle draws.
+_LONG_RUN_CYCLES = 1_000_000
+_MAX_LONG_RUN_BYTES_PER_CYCLE = 20
+
+
+def test_long_runs_hold_only_per_photon_arrays():
+    cfg = _baseline()
+    emitter = dataclasses.replace(
+        cfg.emitter, two_pair_prob=two_pair_prob_for_g2(cfg.autocorr_g2_target, cfg.emitter))
+    runs = {
+        "simulate_hom_run": lambda: simulate_hom_run(
+            cfg.emitter, cfg.analyzer_xx, cfg.hom_mutual_visibility, cfg.detectors,
+            _LONG_RUN_CYCLES, cfg.seed),
+        "simulate_autocorrelation": lambda: simulate_autocorrelation(
+            emitter, cfg.autocorr_photon, cfg.detectors, _LONG_RUN_CYCLES, cfg.seed),
+    }
+    for name, run in runs.items():
+        per_cycle = _peak_bytes_per_cycle(run, _LONG_RUN_CYCLES)
+        assert per_cycle <= _MAX_LONG_RUN_BYTES_PER_CYCLE, f"{name}: {per_cycle:.1f} B/cycle"
