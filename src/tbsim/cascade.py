@@ -116,6 +116,54 @@ def on_cycle_blocks(params: EmitterParams, seed, cycles: int):
         a += len(states)
 
 
+def _excited_blocks(params: EmitterParams, seed, cycles: int):
+    """Per block of cycles: its end, its excited cycles, and those of them with a second pair."""
+    s_exc = rng.stream_seed(seed, _S_EXCITE)
+    s_two = rng.stream_seed(seed, _S_TWO_PAIR)
+    end = 0
+    for on in on_cycle_blocks(params, seed, cycles):
+        end = min(end + rng.BLOCK, cycles)
+        excited = on[rng.below(s_exc, on, params.p_emit_pi)]
+        yield end, excited, excited[rng.below(s_two, excited, params.two_pair_prob)]
+
+
+def _emissions(params: EmitterParams, seed, cycle: np.ndarray, s_xx: int, s_x: int):
+    """Records of the pairs emitted at `cycle`, their delays drawn at those counters."""
+    t_xx = cycle * params.rep_period
+    t_xx += rng.exponential(rng.stream_seed(seed, s_xx), cycle, params.tau_xx)
+    t_x = rng.exponential(rng.stream_seed(seed, s_x), cycle, params.tau_x)
+    t_x += t_xx
+    return EmissionRecords(cycle, t_xx, t_x)
+
+
+def pair_emission_blocks(params: EmitterParams, seed, cycles: int):
+    """`sample_pair_emission`'s stream, one block of `rng.BLOCK` cycles at a time.
+
+    A run with no second pair yields each block's records by cycle. Otherwise
+    the stream is the stable sort by t_xx of all primary records, then all
+    extra ones, each by cycle; a scan up to the first extra decides which.
+    No record of a later block lies before that block's first cycle start,
+    so a block yields its records sorted, save those whose t_xx reaches that
+    start: they are held back and sorted with the next block, primaries
+    before extras as in the whole-run sort.
+    """
+    merge = params.two_pair_prob > 0 and any(
+        len(extra) for _, _, extra in _excited_blocks(params, seed, cycles))
+    held = held_extra = EmissionRecords()
+    for end, excited, extra in _excited_blocks(params, seed, cycles):
+        primary = _emissions(params, seed, excited, _S_EXP_XX, _S_EXP_X)
+        if not merge:
+            yield primary
+            continue
+        primary = _concat(held, primary)
+        extra = _concat(held_extra, _emissions(params, seed, extra,
+                                               _S_EXP_XX_EXTRA, _S_EXP_X_EXTRA))
+        edge = end * params.rep_period if end < cycles else np.inf
+        late, late_extra = primary.t_xx >= edge, extra.t_xx >= edge
+        held, held_extra = _take(primary, late), _take(extra, late_extra)
+        yield _sort_by_t_xx(_concat(_take(primary, ~late), _take(extra, ~late_extra)))
+
+
 def sample_pair_emission(params: EmitterParams, seed, cycles: int) -> EmissionRecords:
     """Sample cascade emissions over `cycles` repetition periods.
 
@@ -123,46 +171,36 @@ def sample_pair_emission(params: EmitterParams, seed, cycles: int) -> EmissionRe
     p_emit_pi (the Rabi population at area pi); an excitation yields t_xx =
     cycle start + Exp(tau_xx) and t_x = t_xx + Exp(tau_x).  With
     probability two_pair_prob a second, uncorrelated pair from the same
-    pulse is appended.  Fully counter-indexed: every stream is drawn at the
-    counters of the cycles that read it (excitation at ON cycles, the rest
-    at excited ones), and the draw at a counter does not depend on which
-    others are drawn, so identical (seed, params) give a bit-identical
-    stream.  The per-cycle stages run one block of cycles at a time, so the
-    only whole-run arrays are per excitation.
+    pulse is appended, and the stream is then ordered by t_xx (stable).
+    Fully counter-indexed: every stream is drawn at the counters of the
+    cycles that read it (excitation at ON cycles, the rest at excited
+    ones), and the draw at a counter does not depend on which others are
+    drawn, so identical (seed, params) give a bit-identical stream.  The
+    records come from `pair_emission_blocks`, concatenated.
     """
-    s_exc = rng.stream_seed(seed, _S_EXCITE)
-    excited = np.concatenate([np.empty(0, dtype=np.int64)] + [
-        on[rng.below(s_exc, on, params.p_emit_pi)]
-        for on in on_cycle_blocks(params, seed, cycles)])
-    extra = excited[
-        rng.below(rng.stream_seed(seed, _S_TWO_PAIR), excited, params.two_pair_prob)]
+    return _concat(EmissionRecords(), *pair_emission_blocks(params, seed, cycles))
 
-    # the extra pairs follow the primary ones; a stable sort by t_xx then merges them
-    rec = EmissionRecords(cycle=np.concatenate([excited, extra]))
-    n = len(excited)
-    del excited
-    rec.t_xx = rec.cycle * params.rep_period
-    rec.t_x = np.empty(len(rec))
-    for part, s_xx, s_x in ((slice(0, n), _S_EXP_XX, _S_EXP_X),
-                            (slice(n, None), _S_EXP_XX_EXTRA, _S_EXP_X_EXTRA)):
-        rec.t_xx[part] += rng.exponential(
-            rng.stream_seed(seed, s_xx), rec.cycle[part], params.tau_xx)
-        rec.t_x[part] = rng.exponential(
-            rng.stream_seed(seed, s_x), rec.cycle[part], params.tau_x)
-    rec.t_x += rec.t_xx
-    return _sort_by_t_xx(rec) if len(extra) else rec
+
+_FIELDS = ("cycle", "t_xx", "t_x")
+
+
+def _concat(*records: EmissionRecords) -> EmissionRecords:
+    return EmissionRecords(*(np.concatenate([getattr(r, f) for r in records]) for f in _FIELDS))
+
+
+def _take(records: EmissionRecords, sel) -> EmissionRecords:
+    return EmissionRecords(*(getattr(records, f)[sel] for f in _FIELDS))
 
 
 def merge_records(a: EmissionRecords, b: EmissionRecords) -> EmissionRecords:
     """The records of a, then b, in one stream ordered by t_xx (stable); a and b are unchanged."""
-    return _sort_by_t_xx(EmissionRecords(
-        *(np.concatenate([getattr(a, f), getattr(b, f)]) for f in ("cycle", "t_xx", "t_x"))))
+    return _sort_by_t_xx(_concat(a, b))
 
 
 def _sort_by_t_xx(records: EmissionRecords) -> EmissionRecords:
     """`records` reordered by t_xx (stable sort) in place, one column at a time."""
     order = np.argsort(records.t_xx, kind="stable")
-    for f in ("cycle", "t_xx", "t_x"):
+    for f in _FIELDS:
         setattr(records, f, getattr(records, f)[order])
     return records
 

@@ -90,16 +90,26 @@ class _Run:
         self.inputs = []
         self.outputs = []
         self.t0 = time.monotonic()
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-        except OSError as exc:  # e.g. --out names an existing file
-            raise DataError(f"cannot write {out_dir}: {exc}") from None
+        # the directory is made at the first write, so a rejected run leaves
+        # none behind; an existing file on its path is an error before any work
+        d = os.path.abspath(out_dir)
+        while not os.path.exists(d):
+            d = os.path.dirname(d)
+        if not os.path.isdir(d):
+            raise DataError(f"cannot write {out_dir}: {d} is not a directory")
 
     def add_input(self, path: str) -> None:
         self.inputs.append({"path": path, "sha256": _sha256_file(path)})
 
+    def _path(self, name: str) -> str:
+        try:
+            os.makedirs(self.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise DataError(f"cannot write {self.out_dir}: {exc}") from None
+        return os.path.join(self.out_dir, name)
+
     def write(self, name: str, data: str) -> str:
-        path = os.path.join(self.out_dir, name)
+        path = self._path(name)
         _write_atomic(path, data)
         self.outputs.append({"path": path, "sha256": _sha256_file(path)})
         return path
@@ -114,8 +124,7 @@ class _Run:
             "outputs": self.outputs,
             "wall_clock_s": round(time.monotonic() - self.t0, 6),
         }
-        _write_atomic(os.path.join(self.out_dir, "manifest.json"),
-                      _json_dumps(manifest))
+        _write_atomic(self._path("manifest.json"), _json_dumps(manifest))
 
 
 def _read_config(path: str) -> RunConfig:
@@ -181,23 +190,33 @@ def _simulate_autocorr(cfg: RunConfig, run: _Run) -> None:
 
 
 def _simulate_lifetime(cfg: RunConfig, run: _Run) -> None:
-    from . import optics
-    from .rng import CounterRng
-    rng = CounterRng(cfg.seed, stream=80)
+    """Decay histogram, binned one block of counts at a time.
+
+    Count i draws its delay at counter i of stream 80 and its jitter at
+    counter n + i, the counters one whole-run `CounterRng` would give them.
+    """
+    from . import optics, rng
+    s = rng.stream_seed(cfg.seed, 80)
     n = cfg.lifetime_counts
-    t0 = 8.0 * cfg.detectors.jitter_sigma
-    t = rng.exponential(n, cfg.lifetime_tau)
-    t += t0
-    if cfg.detectors.jitter_sigma > 0:
-        t += rng.normal(n, cfg.detectors.jitter_sigma)
+    sigma = cfg.detectors.jitter_sigma
+    t0 = 8.0 * sigma
     bin_width = 4.0
     lo = -32.0 * bin_width
     hi = t0 + 12.0 * cfg.lifetime_tau
     edges = np.arange(lo, hi + bin_width, bin_width)
-    counts, _ = np.histogram(t, bins=edges)
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    for a in range(0, n, rng.BLOCK):
+        c = np.arange(a, min(a + rng.BLOCK, n), dtype=np.uint64)
+        t = rng.exponential(s, c, cfg.lifetime_tau)
+        t += t0
+        if sigma > 0:
+            c += np.uint64(n)
+            z = rng.normal_pairs(s, c)
+            z *= sigma
+            t += z
+        counts += np.histogram(t, bins=edges)[0]
     hist = optics.CoincidenceHistogram(
-        bin_width=bin_width, origin=float(edges[0]),
-        counts=counts.astype(np.int64))
+        bin_width=bin_width, origin=float(edges[0]), counts=counts)
     run.write("lifetime_hist.csv", hist.to_csv())
 
 

@@ -106,18 +106,22 @@ def dead_time_mask(times, dead_time):
 
     A click is kept when ``t - last >= dead_time``, with ``last`` the latest
     kept click (the first click is always kept).  A click that far after
-    its predecessor is kept whatever came before.  From each such click the
-    chain of kept clicks is followed, all chains at once, until it reaches
-    the next such click; each link is the first later click that meets the
-    same predicate (`first_true`, found for every click in one pass).
+    its predecessor is kept whatever came before: it heads a chain of kept
+    clicks that ends at the next head.  Each link is the first later click
+    before that end that meets the same predicate (`first_true`), searched
+    only from clicks whose successor is not a head: the chain of any other
+    click ends at it.  All chains are then followed at once.
     """
     times = np.asarray(times)
     n = len(times)
-    i = np.arange(n)
-    nxt = first_true(lambda j: (j > i) & (times[j] - times >= dead_time), n, n)
     mask = np.diff(times, prepend=-np.inf) >= dead_time
-    cur = np.flatnonzero(mask)
-    end = np.append(cur[1:], n)  # the next click kept whatever came before, or n
+    heads = np.flatnonzero(mask)
+    nxt = np.arange(1, n + 1)  # the link after each click: its successor unless searched
+    src = np.flatnonzero(~mask[1:])  # clicks whose successor is not a head
+    t = times[src]
+    nxt[src] = first_true(lambda j: (j > src) & (times[j] - t >= dead_time), n, len(src))
+    cur = heads
+    end = np.append(heads[1:], n)
     while len(cur):
         cur = nxt[cur]
         live = cur < end

@@ -324,6 +324,7 @@ def test_malformed_input_exit_code_and_one_line(tmp_path, capsys, case):
     prefix = {3: "data error: ", 4: "convergence error: "}.get(code, "config error: ")
     assert err.startswith(prefix) and err.count("\n") == 1, err
     assert all(text in err for text in match), err
+    assert not (tmp_path / "o").exists()  # a rejected run leaves no output directory
 
 
 @pytest.mark.filterwarnings("error")
@@ -378,6 +379,17 @@ def test_out_naming_a_file_exits_3(tmp_path, capsys, argv):
     assert main(argv.format(cfg=cfg, budget=budget).split() + ["--out", afile]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: cannot write {afile}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_on_a_file_exits_3_before_the_config_is_checked(tmp_path, capsys, out):
+    # a cycle count the handler rejects (exit 2) would be drawn for hours if
+    # accepted; the output path is checked first, so nothing is drawn
+    cfg = write(tmp_path, "run.cfg", MINI_CFG + "hom.cycles = 1000000000000000\n")
+    write(tmp_path, "afile", "")
+    assert main(["simulate", "hom", "--config", cfg, "--out", str(tmp_path / out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot write {tmp_path / out}: "), err
 
 
 def test_output_that_is_a_directory_exits_3(tmp_path, capsys):
@@ -621,6 +633,10 @@ dead = optics.DetectorModel(efficiency=1.0, dark_count_rate=0.0, jitter_sigma=0.
                             dead_time=100.0)
 ev = optics.simulate_autocorrelation(EmitterParams(), "xx", dead, 200, 1)
 optics.histogram_events(ev, 0, 1, bin_width=500.0, max_delay=5000.0)
+# the autocorrelation run detects block by block, so it reaches neither
+# whole-run entry point; both are wrapped, and called here
+optics.sample_pair_emission(EmitterParams(), 1, 200)
+optics._detect(ev.channel, ev.time, dead, 200 * EmitterParams().rep_period, 1)
 print(sorted(tracer.counts))
 """
 

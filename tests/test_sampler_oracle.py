@@ -1,11 +1,14 @@
 """The cycle-indexed samplers against their full-draw originals, and their memory.
 
 `sample_pair_emission` and `simulate_hom_run` draw each stream only at the
-cycles that read it, one block of `rng.BLOCK` cycles at a time. The
-reference implementations below are the former versions, which stepped the
-telegraph over the whole run in one call, drew every stream at every cycle
-and masked the draws down. Both read the same (stream, counter) draws, so
-their outputs must be equal array for array, for any block size.
+cycles that read it, one block of `rng.BLOCK` cycles at a time, and
+`simulate_hom_run` and `simulate_autocorrelation` pass each block's photons
+through the detectors' per-photon stage before the next. The reference
+implementations below are the former versions, which stepped the telegraph
+over the whole run in one call, drew every stream at every cycle, masked
+the draws down and detected all photons of the run in one call. Both read
+the same (stream, counter) draws, so their outputs must be equal array for
+array, for any block size.
 """
 
 import dataclasses
@@ -22,12 +25,14 @@ from tbsim.cascade import (_S_EXCITE, _S_EXP_X, _S_EXP_X_EXTRA, _S_EXP_XX,
                            _S_TWO_PAIR, EmissionRecords, EmitterParams,
                            blinking_telegraph, merge_records, sample_pair_emission,
                            two_pair_prob_for_g2)
+from tbsim.cli import main
 from tbsim.config import RunConfig
-from tbsim.kernels import telegraph
+from tbsim.kernels import dead_time_mask, telegraph
 from tbsim.optics import (_H_BUNCH, _H_BUNCH_DET, _H_DET0, _H_DET1, _H_EXC0,
                           _H_EXC1, _H_EXP0, _H_EXP1, _H_PATH0, _H_PATH1,
                           _H_SURV0, _H_SURV1, DetectorModel, Interferometer,
-                          _detect, simulate_autocorrelation, simulate_hom_run)
+                          PhotonEvents, _detect, simulate_autocorrelation,
+                          simulate_hom_run)
 
 # --- reference implementations: the full-draw samplers, verbatim ------------
 
@@ -120,6 +125,48 @@ def full_draw_simulate_hom_run(emitter: EmitterParams, analyzer: Interferometer,
     raw_ch = np.concatenate([det0[emit0], det1[emit1]])
     raw_tm = np.concatenate([t0, t1])
     return _detect(raw_ch, raw_tm, detectors, cycles * pair_period, seed)
+
+
+def whole_run_detect(raw_channel: np.ndarray, raw_time: np.ndarray, detectors: DetectorModel,
+                     duration: float, seed) -> PhotonEvents:
+    r_eff = rng.CounterRng(seed, 100)
+    r_jit = rng.CounterRng(seed, 101)
+    r_dark = rng.CounterRng(seed, 102)
+
+    keep = r_eff.below(len(raw_time), detectors.efficiency)
+    ch = raw_channel[keep]
+    tm = raw_time[keep]
+    if detectors.jitter_sigma > 0 and len(tm):
+        tm += r_jit.normal(len(tm), detectors.jitter_sigma)
+
+    mean_dark = detectors.dark_count_rate * duration * 1e-12
+    if mean_dark > 0:
+        n_dark = r_dark.poisson(np.full(2, mean_dark))
+        dark_ch = np.repeat(np.arange(2, dtype=np.int8), n_dark)
+        dark_tm = r_dark.uniform(int(n_dark.sum())) * duration
+        ch = np.concatenate([ch, dark_ch])
+        tm = np.concatenate([tm, dark_tm])
+
+    order = np.argsort(tm, kind="stable")
+    ch, tm = ch[order], tm[order]
+
+    if detectors.dead_time > 0:
+        keep = np.zeros(len(tm), dtype=bool)
+        for c in range(2):
+            sel = ch == c
+            keep[sel] = dead_time_mask(tm[sel], detectors.dead_time)
+        ch, tm = ch[keep], tm[keep]
+    return PhotonEvents(ch.astype(np.int8), tm)
+
+
+def whole_run_simulate_autocorrelation(emitter: EmitterParams, photon: str,
+                                       detectors: DetectorModel, cycles: int, seed):
+    if photon not in ("xx", "x"):
+        raise ValueError("photon must be 'xx' or 'x'")
+    # only the detected photon's times outlive the records
+    tm = getattr(full_draw_sample_pair_emission(emitter, seed, cycles), f"t_{photon}")
+    ch = rng.CounterRng(seed, 40).below(len(tm), 0.5).view(np.int8)
+    return whole_run_detect(ch, tm, detectors, cycles * emitter.rep_period, seed)
 
 
 # --- equivalence over an edge grid --------------------------------------------
@@ -216,6 +263,59 @@ def test_samplers_equal_full_draw_across_block_edges(monkeypatch, block):
                         (name, em, v, det, cycles)
 
 
+# Emissions that cross block edges: lifetimes of several periods, and second
+# pairs that the stream merges by t_xx; a detector below efficiency 1, with
+# dark counts and dead time.
+_LATE_EMITTERS = (
+    EmitterParams(tau_xx=3.5 * 12500.0, tau_x=2.0 * 12500.0, two_pair_prob=0.3,
+                  blinking_mean_on_cycles=3.0),
+    EmitterParams(tau_xx=3.5 * 12500.0, tau_x=300.0, two_pair_prob=0.0),
+    EmitterParams(tau_xx=9000.0, two_pair_prob=0.002, blinking_on_fraction=0.3,
+                  blinking_mean_on_cycles=3.0),
+)
+_BUSY_DETECTOR = DetectorModel(efficiency=0.5, dark_count_rate=2e6, jitter_sigma=20.0,
+                               dead_time=8000.0)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_autocorrelation_equals_whole_run_across_block_edges(monkeypatch, block):
+    monkeypatch.setattr(rng, "BLOCK", block)
+    for (seed, em), det, photon in itertools.product(
+            enumerate(_LATE_EMITTERS, 300), (_BUSY_DETECTOR, DETECTORS[1]), ("xx", "x")):
+        for cycles in _straddling(block):
+            got = simulate_autocorrelation(em, photon, det, cycles, seed)
+            want = whole_run_simulate_autocorrelation(em, photon, det, cycles, seed)
+            for name in ("channel", "time"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.dtype == w.dtype and np.array_equal(g, w), (name, em, det, cycles)
+            got = sample_pair_emission(em, seed, cycles)
+            want = full_draw_sample_pair_emission(em, seed, cycles)
+            for name in ("cycle", "t_xx", "t_x"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (name, em, cycles)
+
+
+def test_detect_equals_whole_run_detect():
+    times = np.random.default_rng(5).uniform(0.0, 1e7, 3000)
+    channels = (times * 7 % 2).astype(np.int8)
+    for det in (*DETECTORS, _BUSY_DETECTOR):
+        got = _detect(channels, times.copy(), det, 1e7, 11)
+        want = whole_run_detect(channels, times.copy(), det, 1e7, 11)
+        assert np.array_equal(got.channel, want.channel) and np.array_equal(got.time, want.time)
+
+
+@pytest.mark.parametrize("jitter", ("6.794", "0"))
+def test_lifetime_file_equals_across_block_sizes(monkeypatch, tmp_path, jitter):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 3\nlifetime.counts = 700\ndetector.jitter_sigma_ps = {jitter}\n")
+    files = []
+    for block in (rng.BLOCK, 1, 7, 64):
+        monkeypatch.setattr(rng, "BLOCK", block)
+        out = tmp_path / f"b{block}"
+        assert main(["simulate", "lifetime", "--config", str(cfg), "--out", str(out)]) == 0
+        files.append((out / "lifetime_hist.csv").read_bytes())
+    assert all(f == files[0] for f in files[1:])
+
+
 # --- memory: what a run holds per cycle ---------------------------------------
 
 _MEMORY_CYCLES = 100_000
@@ -257,22 +357,29 @@ def test_autocorrelation_memory_per_cycle():
     assert per_cycle <= _MAX_BYTES_PER_CYCLE, f"{per_cycle:.1f} B/cycle"
 
 
-# With the per-cycle stages in blocks, only per-photon arrays span the run:
-# 11 and 16.5 B/cycle at this count, against 32 with whole-run per-cycle draws.
+# With detection's per-photon stage in blocks too, only the detected clicks
+# span the run: 3.8 B/cycle for both samplers at this count (0.1 clicks per
+# cycle), against 11 and 16.5 with whole-run photon arrays. `simulate
+# lifetime` bins one block of counts at a time: 1.9 B per count, all of it
+# the block's arrays, against 48.
 _LONG_RUN_CYCLES = 1_000_000
-_MAX_LONG_RUN_BYTES_PER_CYCLE = 20
+_MAX_LONG_RUN_BYTES_PER_CYCLE = 5
 
 
-def test_long_runs_hold_only_per_photon_arrays():
+def test_long_runs_hold_only_per_photon_arrays(tmp_path):
     cfg = _baseline()
     emitter = dataclasses.replace(
         cfg.emitter, two_pair_prob=two_pair_prob_for_g2(cfg.autocorr_g2_target, cfg.emitter))
+    lifetime_cfg = tmp_path / "lifetime.cfg"
+    lifetime_cfg.write_text(f"seed = {cfg.seed}\nlifetime.counts = {_LONG_RUN_CYCLES}\n")
     runs = {
         "simulate_hom_run": lambda: simulate_hom_run(
             cfg.emitter, cfg.analyzer_xx, cfg.hom_mutual_visibility, cfg.detectors,
             _LONG_RUN_CYCLES, cfg.seed),
         "simulate_autocorrelation": lambda: simulate_autocorrelation(
             emitter, cfg.autocorr_photon, cfg.detectors, _LONG_RUN_CYCLES, cfg.seed),
+        "simulate lifetime": lambda: main([
+            "simulate", "lifetime", "--config", str(lifetime_cfg), "--out", str(tmp_path)]),
     }
     for name, run in runs.items():
         per_cycle = _peak_bytes_per_cycle(run, _LONG_RUN_CYCLES)
