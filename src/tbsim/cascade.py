@@ -139,23 +139,15 @@ def _emissions(params: EmitterParams, seed, cycle: np.ndarray, s_xx: int, s_x: i
 def pair_emission_blocks(params: EmitterParams, seed, cycles: int):
     """`sample_pair_emission`'s stream, one block of `rng.BLOCK` cycles at a time.
 
-    A run with no second pair yields each block's records by cycle. Otherwise
-    the stream is the stable sort by t_xx of all primary records, then all
-    extra ones, each by cycle; a scan up to the first extra decides which.
-    No record of a later block lies before that block's first cycle start,
-    so a block yields its records sorted, save those whose t_xx reaches that
-    start: they are held back and sorted with the next block, primaries
-    before extras as in the whole-run sort.
+    The stream is the stable sort by t_xx of all primary records, then all
+    extra ones, each by cycle. No record of a later block lies before that
+    block's first cycle start, so a block yields its records sorted, save
+    those whose t_xx reaches that start: they are held back and sorted with
+    the next block, primaries before extras as in the whole-run sort.
     """
-    merge = params.two_pair_prob > 0 and any(
-        len(extra) for _, _, extra in _excited_blocks(params, seed, cycles))
     held = held_extra = EmissionRecords()
     for end, excited, extra in _excited_blocks(params, seed, cycles):
-        primary = _emissions(params, seed, excited, _S_EXP_XX, _S_EXP_X)
-        if not merge:
-            yield primary
-            continue
-        primary = _concat(held, primary)
+        primary = _concat(held, _emissions(params, seed, excited, _S_EXP_XX, _S_EXP_X))
         extra = _concat(held_extra, _emissions(params, seed, extra,
                                                _S_EXP_XX_EXTRA, _S_EXP_X_EXTRA))
         edge = end * params.rep_period if end < cycles else np.inf
@@ -171,7 +163,9 @@ def sample_pair_emission(params: EmitterParams, seed, cycles: int) -> EmissionRe
     p_emit_pi (the Rabi population at area pi); an excitation yields t_xx =
     cycle start + Exp(tau_xx) and t_x = t_xx + Exp(tau_x).  With
     probability two_pair_prob a second, uncorrelated pair from the same
-    pulse is appended, and the stream is then ordered by t_xx (stable).
+    pulse is appended. The stream is ordered by t_xx (a stable sort of all
+    primary records, then all extra ones, each by cycle), so it is the
+    order in which the pairs are emitted.
     Fully counter-indexed: every stream is drawn at the counters of the
     cycles that read it (excitation at ON cycles, the rest at excited
     ones), and the draw at a counter does not depend on which others are

@@ -209,45 +209,32 @@ def coincidence_probability(phi_p: float, phi_x: float, phi_xx: float, visibilit
 _N_CHANNELS = 2  # every arrangement ends on two detectors
 
 
-def _detector_streams(seed, photons: int = 0, kept: int = 0):
-    """The efficiency and jitter streams, at the given photon and kept-photon indices."""
-    r_eff, r_jit = rng.CounterRng(seed, 100), rng.CounterRng(seed, 101)
-    r_eff.counter, r_jit.counter = photons, kept
-    return r_eff, r_jit
+def _detect_blocks(blocks, detectors: DetectorModel, duration: float, seed) -> PhotonEvents:
+    """Clicks of a run whose photons come as `(channel, time)` blocks, in photon order.
 
-
-def _detect_photons(raw_channel: np.ndarray, raw_time: np.ndarray, detectors: DetectorModel,
-                    streams):
-    """Channels and times of the photons that click: the efficiency coin, then jitter.
-
-    `streams` (`_detector_streams`) carry their counters from one call to the
-    next, so a run detected one block of photons at a time draws what one
-    call on the whole run draws.
+    Each block's photons take the efficiency coin (stream 100) and then
+    jitter (stream 101) at their indices among the run's photons and kept
+    photons, so the blocking does not change a draw. Only the clicks
+    outlive their block: dark counts (stream 102) join them, a stable sort
+    orders them by time (clicks of equal time keep their photon order, dark
+    counts last), and per-channel dead time thins them.
     """
-    r_eff, r_jit = streams
-    keep = r_eff.below(len(raw_time), detectors.efficiency)
-    ch = raw_channel[keep]
-    tm = raw_time[keep]
-    if detectors.jitter_sigma > 0 and len(tm):
-        tm += r_jit.normal(len(tm), detectors.jitter_sigma)
-    return ch, tm
-
-
-def _merge_clicks(channels, times, detectors: DetectorModel, duration: float,
-                  seed) -> PhotonEvents:
-    """A run's clicks (lists of `_detect_photons` arrays) with dark counts, sorted, after dead time.
-
-    The sort is stable, so clicks of equal time keep their photon order, dark
-    counts last.
-    """
-    r_dark = rng.CounterRng(seed, 102)
+    r_eff, r_jit, r_dark = (rng.CounterRng(seed, s) for s in (100, 101, 102))
+    channels, times = [np.empty(0, dtype=np.int8)], [np.empty(0)]
+    for raw_channel, raw_time in blocks:
+        keep = r_eff.below(len(raw_time), detectors.efficiency)
+        tm = raw_time[keep]
+        if detectors.jitter_sigma > 0 and len(tm):
+            tm += r_jit.normal(len(tm), detectors.jitter_sigma)
+        channels.append(raw_channel[keep])
+        times.append(tm)
     mean_dark = detectors.dark_count_rate * duration * 1e-12
     if mean_dark > 0:
         n_dark = r_dark.poisson(np.full(_N_CHANNELS, mean_dark))
-        channels = [*channels, np.repeat(np.arange(_N_CHANNELS, dtype=np.int8), n_dark)]
-        times = [*times, r_dark.uniform(int(n_dark.sum())) * duration]
-    ch = np.concatenate([np.empty(0, dtype=np.int8), *channels])
-    tm = np.concatenate([np.empty(0), *times])
+        channels.append(np.repeat(np.arange(_N_CHANNELS, dtype=np.int8), n_dark))
+        times.append(r_dark.uniform(int(n_dark.sum())) * duration)
+    ch, tm = np.concatenate(channels), np.concatenate(times)
+    del channels, times
 
     order = np.argsort(tm, kind="stable")
     ch, tm = ch[order], tm[order]
@@ -264,8 +251,7 @@ def _merge_clicks(channels, times, detectors: DetectorModel, duration: float,
 def _detect(raw_channel: np.ndarray, raw_time: np.ndarray, detectors: DetectorModel,
             duration: float, seed) -> PhotonEvents:
     """Apply efficiency, jitter, dark counts, and per-channel dead time."""
-    ch, tm = _detect_photons(raw_channel, raw_time, detectors, _detector_streams(seed))
-    return _merge_clicks([ch], [tm], detectors, duration, seed)
+    return _detect_blocks([(raw_channel, raw_time)], detectors, duration, seed)
 
 
 # --- time-bin entanglement run --------------------------------------------
@@ -409,40 +395,24 @@ def simulate_hom_run(emitter: EmitterParams, analyzer: Interferometer,
     the neighbouring-cycle coincidence cluster cannot leak into the
     outermost five-peak windows.  Counter-indexed: each stream is drawn at
     the counters of the cycles that read it, and no draw depends on another.
-    The per-cycle stages and the detectors' per-photon stage run one block
-    of cycles at a time (a pulse pair never spans two), so the only
-    whole-run arrays are the detected clicks.
+    The run is one pass over blocks of cycles (a pulse pair never spans
+    two): each block's photons go to the detectors numbered by (cycle,
+    pulse), so the only whole-run arrays are the detected clicks.
     """
     if not (0.0 <= mutual_visibility <= 1.0):
         raise ValueError("mutual_visibility must be in [0, 1]")
     d = analyzer.delay
+    pair_period = 2.0 * emitter.rep_period
 
     def coin(stream, cyc, p):  # per cycle of `cyc`: is its uniform on `stream` below p
         return rng.below(rng.stream_seed(seed, stream), cyc, p)
 
-    def emitted(on, s_exc, s_surv):  # the cycles whose pulse puts a photon in the output port
-        excited = on[coin(s_exc, on, emitter.p_emit_pi)]
-        return excited[coin(s_surv, excited, 0.5)]
-
     def pulse(on, s_exc, s_surv, s_path, s_det):  # emitted cycles, long arm?, detector 1?
-        i = emitted(on, s_exc, s_surv)
+        excited = on[coin(s_exc, on, emitter.p_emit_pi)]
+        i = excited[coin(s_surv, excited, 0.5)]  # a photon reaches the output port
         return i, coin(s_path, i, 0.5), coin(s_det, i, 0.5)
 
-    # The detectors number the photons of pulse 0 over the whole run, then
-    # those of pulse 1: a counting pass finds where pulse 1's efficiency and
-    # jitter counters start.
-    r_eff = _detector_streams(seed)[0]
-    n0 = k0 = 0
-    for on in on_cycle_blocks(emitter, seed, cycles):
-        n = len(emitted(on, _H_EXC0, _H_SURV0))
-        n0 += n
-        k0 += int(np.count_nonzero(r_eff.below(n, detectors.efficiency)))
-
-    pair_period = 2.0 * emitter.rep_period
-    pulses = ((_H_EXP0, 0.0, _detector_streams(seed)),
-              (_H_EXP1, d, _detector_streams(seed, n0, k0)))
-    clicks = [([], []), ([], [])]  # per pulse: channels, times, block by block
-    for on in on_cycle_blocks(emitter, seed, cycles):
+    def block_photons(on):  # a block's photons: detector and time, by (cycle, pulse)
         i0, path0, det0 = pulse(on, _H_EXC0, _H_SURV0, _H_PATH0, _H_DET0)
         i1, path1, det1 = pulse(on, _H_EXC1, _H_SURV1, _H_PATH1, _H_DET1)
         overlap = np.intersect1d(i0[path0], i1[~path1], assume_unique=True)
@@ -450,17 +420,25 @@ def simulate_hom_run(emitter: EmitterParams, analyzer: Interferometer,
         bunch_det = coin(_H_BUNCH_DET, bunch, 0.5)
         det0[np.searchsorted(i0, bunch)] = bunch_det
         det1[np.searchsorted(i1, bunch)] = bunch_det
-        for (s_exp, lead, streams), (chs, tms), i, path, det in zip(
-                pulses, clicks, (i0, i1), (path0, path1), (det0, det1)):
+        # a cycle's pulse-0 photon comes after the pulse-1 photons of
+        # earlier cycles, its pulse-1 photon after the pulse-0 photons
+        # of this and earlier cycles
+        at = (np.arange(len(i0)) + np.searchsorted(i1, i0),
+              np.arange(len(i1)) + np.searchsorted(i0, i1, side="right"))
+        ch = np.empty(len(i0) + len(i1), dtype=np.int8)
+        tm = np.empty(len(ch))
+        for s_exp, lead, i, path, det, pos in zip(
+                (_H_EXP0, _H_EXP1), (0.0, d), (i0, i1), (path0, path1), (det0, det1), at):
             t = i * pair_period
             t += lead
             t += path * d
             t += rng.exponential(rng.stream_seed(seed, s_exp), i, emitter.tau_xx)
-            ch, t = _detect_photons(det.view(np.int8), t, detectors, streams)
-            chs.append(ch)
-            tms.append(t)
-    (ch0, t0), (ch1, t1) = clicks
-    return _merge_clicks(ch0 + ch1, t0 + t1, detectors, cycles * pair_period, seed)
+            ch[pos] = det
+            tm[pos] = t
+        return ch, tm
+
+    photons = (block_photons(on) for on in on_cycle_blocks(emitter, seed, cycles))
+    return _detect_blocks(photons, detectors, cycles * pair_period, seed)
 
 
 # --- autocorrelation -------------------------------------------------------
@@ -469,22 +447,16 @@ def simulate_autocorrelation(emitter: EmitterParams, photon: str,
                              detectors: DetectorModel, cycles: int, seed) -> PhotonEvents:
     """Hanbury Brown-Twiss stream of one photon species split 50/50.
 
-    The emission records pass through the splitter and the detectors' per-
-    photon stage one block at a time, numbered in emission order (the
-    split coin on stream 40), so the only whole-run arrays are the clicks.
+    One pass over the emission blocks: each block's photons take the split
+    coin (stream 40) and go to the detectors numbered in emission order, so
+    the only whole-run arrays are the clicks.
     """
     if photon not in ("xx", "x"):
         raise ValueError("photon must be 'xx' or 'x'")
     r_split = rng.CounterRng(seed, 40)
-    streams = _detector_streams(seed)
-    channels, times = [], []
-    for rec in pair_emission_blocks(emitter, seed, cycles):
-        tm = getattr(rec, f"t_{photon}")
-        ch, tm = _detect_photons(r_split.below(len(tm), 0.5).view(np.int8), tm,
-                                 detectors, streams)
-        channels.append(ch)
-        times.append(tm)
-    return _merge_clicks(channels, times, detectors, cycles * emitter.rep_period, seed)
+    photons = ((r_split.below(len(rec), 0.5).view(np.int8), getattr(rec, f"t_{photon}"))
+               for rec in pair_emission_blocks(emitter, seed, cycles))
+    return _detect_blocks(photons, detectors, cycles * emitter.rep_period, seed)
 
 
 _POISSON_MAX_PER_PULSE = 12

@@ -2,13 +2,14 @@
 
 `sample_pair_emission` and `simulate_hom_run` draw each stream only at the
 cycles that read it, one block of `rng.BLOCK` cycles at a time, and
-`simulate_hom_run` and `simulate_autocorrelation` pass each block's photons
-through the detectors' per-photon stage before the next. The reference
-implementations below are the former versions, which stepped the telegraph
-over the whole run in one call, drew every stream at every cycle, masked
-the draws down and detected all photons of the run in one call. Both read
-the same (stream, counter) draws, so their outputs must be equal array for
-array, for any block size.
+`simulate_hom_run` and `simulate_autocorrelation` are one pass over those
+blocks, each block's photons going to the detectors before the next. The
+reference implementations below step the telegraph over the whole run in
+one call, draw every stream at every cycle, mask the draws down, put the
+photons in emission order (the pair stream by t_xx, the HOM photons by
+cycle and then pulse) and detect them all in one call. Both read the same
+(stream, counter) draws, so their outputs must be equal array for array,
+for any block size.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tbsim import rng
+from tbsim import cascade, rng
 from tbsim.cascade import (_S_EXCITE, _S_EXP_X, _S_EXP_X_EXTRA, _S_EXP_XX,
                            _S_EXP_XX_EXTRA, _S_TELEGRAPH, _S_TELEGRAPH_INIT,
                            _S_TWO_PAIR, EmissionRecords, EmitterParams,
@@ -81,11 +82,7 @@ def full_draw_sample_pair_emission(params: EmitterParams, seed, cycles: int) -> 
         t_xx = pulse_abs[mask] + exx[mask]
         return EmissionRecords(cycle=cyc[mask], t_xx=t_xx, t_x=t_xx + ex[mask])
 
-    primary = pick(excited, e_xx, e_x)
-    if not np.any(extra):
-        return primary
-    second = pick(extra, e_xx2, e_x2)
-    return merge_records(primary, second)
+    return merge_records(pick(excited, e_xx, e_x), pick(extra, e_xx2, e_x2))
 
 
 def full_draw_simulate_hom_run(emitter: EmitterParams, analyzer: Interferometer,
@@ -122,8 +119,10 @@ def full_draw_simulate_hom_run(emitter: EmitterParams, analyzer: Interferometer,
     t0 = cyc_t[emit0] + path0[emit0] * d + e0[emit0]
     t1 = cyc_t[emit1] + d + path1[emit1] * d + e1[emit1]
 
-    raw_ch = np.concatenate([det0[emit0], det1[emit1]])
-    raw_tm = np.concatenate([t0, t1])
+    cyc = np.arange(cycles)
+    order = np.argsort(np.concatenate([2 * cyc[emit0], 2 * cyc[emit1] + 1]))
+    raw_ch = np.concatenate([det0[emit0], det1[emit1]])[order]
+    raw_tm = np.concatenate([t0, t1])[order]
     return _detect(raw_ch, raw_tm, detectors, cycles * pair_period, seed)
 
 
@@ -294,6 +293,35 @@ def test_autocorrelation_equals_whole_run_across_block_edges(monkeypatch, block)
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (name, em, cycles)
 
 
+def test_pair_stream_is_ordered_by_t_xx():
+    emitters = [em for _, em in _emitters()] + list(_LATE_EMITTERS)
+    for (seed, em), cycles in itertools.product(enumerate(emitters, 400), CYCLES):
+        t_xx = sample_pair_emission(em, seed, cycles).t_xx
+        assert np.all(t_xx[1:] >= t_xx[:-1]), (em, cycles)
+
+
+def test_runs_step_the_telegraph_once_per_cycle(monkeypatch):
+    block = 7
+    monkeypatch.setattr(rng, "BLOCK", block)
+    steps = []
+
+    def counted(uniforms, *args):
+        steps.append(len(uniforms))
+        return telegraph(uniforms, *args)
+
+    monkeypatch.setattr(cascade, "telegraph", counted)
+    em = EmitterParams(two_pair_prob=0.3, blinking_mean_on_cycles=3.0)
+    for cycles in _straddling(block):
+        edges = max(0, -(-cycles // block) - 1)  # each but the last block steps one past it
+        runs = {"hom": lambda: simulate_hom_run(em, Interferometer(), 0.482, DETECTORS[1],
+                                                cycles, 5),
+                "autocorr": lambda: simulate_autocorrelation(em, "xx", DETECTORS[1], cycles, 5)}
+        for name, run in runs.items():
+            steps.clear()
+            run()
+            assert sum(steps) == cycles + edges, (name, cycles)
+
+
 def test_detect_equals_whole_run_detect():
     times = np.random.default_rng(5).uniform(0.0, 1e7, 3000)
     channels = (times * 7 % 2).astype(np.int8)
@@ -358,12 +386,12 @@ def test_autocorrelation_memory_per_cycle():
 
 
 # With detection's per-photon stage in blocks too, only the detected clicks
-# span the run: 3.8 B/cycle for both samplers at this count (0.1 clicks per
-# cycle), against 11 and 16.5 with whole-run photon arrays. `simulate
-# lifetime` bins one block of counts at a time: 1.9 B per count, all of it
-# the block's arrays, against 48.
+# span the run: 2.7 (HOM) and 3.0 (autocorrelation) B/cycle at this count
+# (0.1 clicks per cycle), against 11 and 16.5 with whole-run photon arrays.
+# `simulate lifetime` bins one block of counts at a time: 1.9 B per count,
+# all of it the block's arrays, against 48.
 _LONG_RUN_CYCLES = 1_000_000
-_MAX_LONG_RUN_BYTES_PER_CYCLE = 5
+_MAX_LONG_RUN_BYTES_PER_CYCLE = 3.3
 
 
 def test_long_runs_hold_only_per_photon_arrays(tmp_path):
