@@ -13,16 +13,7 @@ import numpy as np
 
 from . import rng
 from .kernels import telegraph
-
-# stream ids within a sampling run
-_S_TELEGRAPH = 0
-_S_TELEGRAPH_INIT = 1
-_S_EXCITE = 2
-_S_TWO_PAIR = 3
-_S_EXP_XX = 4
-_S_EXP_X = 5
-_S_EXP_XX_EXTRA = 6
-_S_EXP_X_EXTRA = 7
+from .rng import Stream
 
 
 @dataclass(frozen=True)
@@ -89,9 +80,9 @@ def _telegraph_blocks(on_fraction: float, mean_on_duration: float, seed, cycles:
             f"on_fraction {on_fraction} with mean ON duration {mean_on_duration} "
             "implies an OFF dwell shorter than one cycle"
         )
-    u_init = rng.uniform(rng.stream_seed(seed, _S_TELEGRAPH_INIT), [0])[0]
+    u_init = rng.uniform(rng.stream_seed(seed, Stream.TELEGRAPH_INIT), [0])[0]
     start_on = bool(u_init < on_fraction)
-    s = rng.stream_seed(seed, _S_TELEGRAPH)
+    s = rng.stream_seed(seed, Stream.TELEGRAPH)
     for a in range(0, cycles, rng.BLOCK):
         n = min(rng.BLOCK, cycles - a)
         us = rng.uniform(s, np.arange(a, min(a + n + 1, cycles), dtype=np.uint64))
@@ -118,8 +109,8 @@ def on_cycle_blocks(params: EmitterParams, seed, cycles: int):
 
 def _excited_blocks(params: EmitterParams, seed, cycles: int):
     """Per block of cycles: its end, its excited cycles, and those of them with a second pair."""
-    s_exc = rng.stream_seed(seed, _S_EXCITE)
-    s_two = rng.stream_seed(seed, _S_TWO_PAIR)
+    s_exc = rng.stream_seed(seed, Stream.EXCITE)
+    s_two = rng.stream_seed(seed, Stream.TWO_PAIR)
     end = 0
     for on in on_cycle_blocks(params, seed, cycles):
         end = min(end + rng.BLOCK, cycles)
@@ -127,7 +118,7 @@ def _excited_blocks(params: EmitterParams, seed, cycles: int):
         yield end, excited, excited[rng.below(s_two, excited, params.two_pair_prob)]
 
 
-def _emissions(params: EmitterParams, seed, cycle: np.ndarray, s_xx: int, s_x: int):
+def _emissions(params: EmitterParams, seed, cycle: np.ndarray, s_xx: Stream, s_x: Stream):
     """Records of the pairs emitted at `cycle`, their delays drawn at those counters."""
     t_xx = cycle * params.rep_period
     t_xx += rng.exponential(rng.stream_seed(seed, s_xx), cycle, params.tau_xx)
@@ -147,9 +138,9 @@ def pair_emission_blocks(params: EmitterParams, seed, cycles: int):
     """
     held = held_extra = EmissionRecords()
     for end, excited, extra in _excited_blocks(params, seed, cycles):
-        primary = _concat(held, _emissions(params, seed, excited, _S_EXP_XX, _S_EXP_X))
+        primary = _concat(held, _emissions(params, seed, excited, Stream.EXP_XX, Stream.EXP_X))
         extra = _concat(held_extra, _emissions(params, seed, extra,
-                                               _S_EXP_XX_EXTRA, _S_EXP_X_EXTRA))
+                                               Stream.EXP_XX_EXTRA, Stream.EXP_X_EXTRA))
         edge = end * params.rep_period if end < cycles else np.inf
         late, late_extra = primary.t_xx >= edge, extra.t_xx >= edge
         held, held_extra = _take(primary, late), _take(extra, late_extra)

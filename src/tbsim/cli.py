@@ -140,9 +140,13 @@ def _read_config(path: str) -> RunConfig:
 
 def _simulate_tomography(cfg: RunConfig, run: _Run) -> None:
     from . import optics, tomo
+    from .config import ConfigError
     rho = optics.ideal_timebin_density(cfg.state)
-    table = tomo.simulate_counts(
-        rho, cfg.tomography_cycles, cfg.detectors.efficiency**2, cfg.seed)
+    try:  # a count beyond the float range, or a mean too large to draw (PoissonMeanError)
+        table = tomo.simulate_counts(
+            rho, cfg.tomography_cycles, cfg.detectors.efficiency**2, cfg.seed)
+    except OverflowError as exc:
+        raise ConfigError("tomography.cycles_per_setting", f"too many counts: {exc}") from None
     run.write("tomography_counts.csv", table.to_csv())
 
 
@@ -192,11 +196,11 @@ def _simulate_autocorr(cfg: RunConfig, run: _Run) -> None:
 def _simulate_lifetime(cfg: RunConfig, run: _Run) -> None:
     """Decay histogram, binned one block of counts at a time.
 
-    Count i draws its delay at counter i of stream 80 and its jitter at
-    counter n + i, the counters one whole-run `CounterRng` would give them.
+    Count i draws its delay at counter i of stream `LIFETIME` and its jitter
+    at counter n + i, the counters one whole-run `CounterRng` would give them.
     """
     from . import optics, rng
-    s = rng.stream_seed(cfg.seed, 80)
+    s = rng.stream_seed(cfg.seed, rng.Stream.LIFETIME)
     n = cfg.lifetime_counts
     sigma = cfg.detectors.jitter_sigma
     t0 = 8.0 * sigma
@@ -225,14 +229,17 @@ _RABI_COLUMNS = ("sqrt_power", "counts")
 
 def _simulate_rabi(cfg: RunConfig, run: _Run) -> None:
     from .cascade import two_photon_rabi_population
-    from .rng import CounterRng
+    from .config import ConfigError
+    from .rng import CounterRng, Stream
     sqrt_powers = np.round(np.linspace(0.1, 2.5, 25), 6)
-    means = np.array([
-        cfg.rabi_cycles_per_point
-        * two_photon_rabi_population(np.pi * s, cfg.rabi_damping)
-        for s in sqrt_powers])
-    rng = CounterRng(cfg.seed, stream=81)
-    rates = rng.poisson(means)
+    try:  # a count beyond the float range, or a mean too large to draw (PoissonMeanError)
+        means = np.array([
+            cfg.rabi_cycles_per_point
+            * two_photon_rabi_population(np.pi * s, cfg.rabi_damping)
+            for s in sqrt_powers])
+        rates = CounterRng(cfg.seed, Stream.RABI).poisson(means)
+    except OverflowError as exc:
+        raise ConfigError("rabi.cycles_per_point", f"too many counts: {exc}") from None
     run.write("rabi_scan.csv", format_table(
         _RABI_COLUMNS, zip(sqrt_powers.tolist(), rates.tolist())))
 
@@ -266,6 +273,17 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _read_histogram(path: str):
+    """The histogram file at `path`; a count total beyond int64, which the
+    cumsum of `peak_areas` would wrap, is a data error."""
+    from .optics import CoincidenceHistogram
+    hist = CoincidenceHistogram.from_csv(_read_text(path))
+    total = sum(hist.counts.tolist())
+    if total > np.iinfo(np.int64).max:
+        raise DataError(f"histogram counts total {total}, beyond the 64-bit range")
+    return hist
+
+
 def _analyze_tomo(args, run: _Run) -> dict:
     from . import tomo
     from .qcore import purity
@@ -288,8 +306,8 @@ def _analyze_tomo(args, run: _Run) -> dict:
 
 
 def _analyze_g2(args, run: _Run) -> dict:
-    from . import fitting, optics
-    hist = optics.CoincidenceHistogram.from_csv(_read_text(args.input))
+    from . import fitting
+    hist = _read_histogram(args.input)
     g2, g2_err = fitting.g2_zero(hist, args.rep_period)
     blink = fitting.blinking_factor(hist, args.rep_period)
     return {"g2_zero": g2, "g2_zero_err": g2_err, "blinking_factor": blink,
@@ -297,8 +315,8 @@ def _analyze_g2(args, run: _Run) -> dict:
 
 
 def _analyze_hom(args, run: _Run) -> dict:
-    from . import fitting, optics
-    hist = optics.CoincidenceHistogram.from_csv(_read_text(args.input))
+    from . import fitting
+    hist = _read_histogram(args.input)
     peaks = fitting.hom_five_peak(hist, args.delay)
     return {
         "g2_hom": peaks.g2_hom,
@@ -315,7 +333,7 @@ def _analyze_lifetime(args, run: _Run) -> dict:
     if not (np.isfinite(args.jitter_fwhm) and args.jitter_fwhm >= 0):  # 0: ideal detector
         raise DataError(f"--jitter-fwhm {args.jitter_fwhm} ps must be a non-negative "
                         "finite number")
-    hist = optics.CoincidenceHistogram.from_csv(_read_text(args.input))
+    hist = _read_histogram(args.input)
     fit = fitting.fit_lifetime(hist, args.jitter_fwhm / optics.FWHM_PER_SIGMA)
     if not fit.converged:
         raise ConvergenceError("lifetime fit did not converge")
@@ -328,10 +346,11 @@ def _analyze_rabi(args, run: _Run) -> dict:
     if not (np.isfinite(args.rate_normalization) and args.rate_normalization > 0):
         raise DataError(f"--rate-normalization {args.rate_normalization} must be a "
                         "positive finite number")
-    _, (x, y) = read_table(_read_text(args.input), _RABI_COLUMNS, "scan",
-                           (float, float))
+    _, (x, y) = read_table(_read_text(args.input), _RABI_COLUMNS, "scan", (float, int))
     if len(x) < 3:
         raise DataError(f"scan has {len(x)} rows; the two-parameter fit needs 3 or more")
+    if min(x) < 0 or min(y) < 0:
+        raise DataError("scan has a negative sqrt_power or count")
     fit = fitting.fit_rabi(x, y, rate_normalization=args.rate_normalization)
     if not fit.converged:
         raise ConvergenceError("Rabi fit did not converge")

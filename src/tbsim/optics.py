@@ -20,6 +20,7 @@ from .cascade import (EmitterParams, blinking_telegraph, on_cycle_blocks,  # noq
                       pair_emission_blocks, sample_pair_emission)
 from .kernels import dead_time_mask, first_true, pair_delay_counts
 from .qcore import DensityMatrix
+from .rng import Stream
 from .table import format_table, read_table
 
 FWHM_PER_SIGMA = float(np.sqrt(8.0 * np.log(2.0)))  # Gaussian FWHM / sigma
@@ -212,14 +213,15 @@ _N_CHANNELS = 2  # every arrangement ends on two detectors
 def _detect_blocks(blocks, detectors: DetectorModel, duration: float, seed) -> PhotonEvents:
     """Clicks of a run whose photons come as `(channel, time)` blocks, in photon order.
 
-    Each block's photons take the efficiency coin (stream 100) and then
-    jitter (stream 101) at their indices among the run's photons and kept
-    photons, so the blocking does not change a draw. Only the clicks
-    outlive their block: dark counts (stream 102) join them, a stable sort
+    Each block's photons take the efficiency coin (`DETECT_EFFICIENCY`) and
+    then jitter (`DETECT_JITTER`) at their indices among the run's photons and
+    kept photons, so the blocking does not change a draw. Only the clicks
+    outlive their block: dark counts (`DETECT_DARK`) join them, a stable sort
     orders them by time (clicks of equal time keep their photon order, dark
     counts last), and per-channel dead time thins them.
     """
-    r_eff, r_jit, r_dark = (rng.CounterRng(seed, s) for s in (100, 101, 102))
+    r_eff, r_jit, r_dark = (rng.CounterRng(seed, s) for s in (
+        Stream.DETECT_EFFICIENCY, Stream.DETECT_JITTER, Stream.DETECT_DARK))
     channels, times = [np.empty(0, dtype=np.int8)], [np.empty(0)]
     for raw_channel, raw_time in blocks:
         keep = r_eff.below(len(raw_time), detectors.efficiency)
@@ -256,17 +258,6 @@ def _detect(raw_channel: np.ndarray, raw_time: np.ndarray, detectors: DetectorMo
 
 # --- time-bin entanglement run --------------------------------------------
 
-# stream ids local to simulate_timebin_run
-_T_EXCITE = 10
-_T_BIN = 11
-_T_PATH_XX = 12
-_T_PATH_X = 13
-_T_SURV_1 = 14
-_T_SURV_2 = 15
-_T_EXP_XX = 16
-_T_EXP_X = 17
-
-
 def simulate_timebin_run(emitter: EmitterParams, state: TimebinStateModel,
                          analyzers, detectors: DetectorModel,
                          cycles: int, seed) -> PhotonEvents:
@@ -292,22 +283,23 @@ def simulate_timebin_run(emitter: EmitterParams, state: TimebinStateModel,
                             emitter.blinking_mean_on_cycles, seed, cycles).astype(bool)
     c = np.arange(cycles, dtype=np.uint64)
     u = {s: rng.uniform(rng.stream_seed(seed, s), c)
-         for s in (_T_EXCITE, _T_BIN, _T_PATH_XX, _T_PATH_X, _T_SURV_1, _T_SURV_2)}
-    e_xx = rng.exponential(rng.stream_seed(seed, _T_EXP_XX), c, emitter.tau_xx)
-    e_x = rng.exponential(rng.stream_seed(seed, _T_EXP_X), c, emitter.tau_x)
+         for s in (Stream.TIMEBIN_EXCITE, Stream.TIMEBIN_BIN, Stream.TIMEBIN_PATH_XX,
+                   Stream.TIMEBIN_PATH_X, Stream.TIMEBIN_SURV_1, Stream.TIMEBIN_SURV_2)}
+    e_xx = rng.exponential(rng.stream_seed(seed, Stream.TIMEBIN_EXP_XX), c, emitter.tau_xx)
+    e_x = rng.exponential(rng.stream_seed(seed, Stream.TIMEBIN_EXP_X), c, emitter.tau_x)
 
-    excited = on & (u[_T_EXCITE] < emitter.p_emit_pi)
-    b = (u[_T_BIN] < 0.5).astype(np.int8)  # 0 = early, 1 = late
-    path_xx = (u[_T_PATH_XX] < 0.5).astype(np.int8)  # 0 = short, 1 = long
-    path_x = (u[_T_PATH_X] < 0.5).astype(np.int8)
+    excited = on & (u[Stream.TIMEBIN_EXCITE] < emitter.p_emit_pi)
+    b = (u[Stream.TIMEBIN_BIN] < 0.5).astype(np.int8)  # 0 = early, 1 = late
+    path_xx = (u[Stream.TIMEBIN_PATH_XX] < 0.5).astype(np.int8)  # 0 = short, 1 = long
+    path_x = (u[Stream.TIMEBIN_PATH_X] < 0.5).astype(np.int8)
 
     # overlap candidates: (early, long, long) or (late, short, short)
     mm = ((b == 0) & (path_xx == 1) & (path_x == 1)) | \
          ((b == 1) & (path_xx == 0) & (path_x == 0))
     # 4 * fringe = 1 + V cos(...) in [0, 2]; pair survival absorbs one 1/2
-    pair_ok = (u[_T_SURV_1] < 0.5) & (u[_T_SURV_2] < 2.0 * fringe)
-    surv_xx = np.where(mm, pair_ok, u[_T_SURV_1] < 0.5)
-    surv_x = np.where(mm, pair_ok, u[_T_SURV_2] < 0.5)
+    pair_ok = (u[Stream.TIMEBIN_SURV_1] < 0.5) & (u[Stream.TIMEBIN_SURV_2] < 2.0 * fringe)
+    surv_xx = np.where(mm, pair_ok, u[Stream.TIMEBIN_SURV_1] < 0.5)
+    surv_x = np.where(mm, pair_ok, u[Stream.TIMEBIN_SURV_2] < 0.5)
 
     slot_xx = b + path_xx
     slot_x = b + path_x
@@ -365,20 +357,6 @@ def middle_slot_fraction(slot_counts: np.ndarray) -> float:
 
 # --- Hong-Ou-Mandel run ----------------------------------------------------
 
-_H_EXC0 = 20
-_H_EXC1 = 21
-_H_PATH0 = 22
-_H_PATH1 = 23
-_H_SURV0 = 24
-_H_SURV1 = 25
-_H_EXP0 = 26
-_H_EXP1 = 27
-_H_BUNCH = 28
-_H_DET0 = 29
-_H_DET1 = 30
-_H_BUNCH_DET = 31
-
-
 def simulate_hom_run(emitter: EmitterParams, analyzer: Interferometer,
                      mutual_visibility: float, detectors: DetectorModel,
                      cycles: int, seed) -> PhotonEvents:
@@ -413,11 +391,13 @@ def simulate_hom_run(emitter: EmitterParams, analyzer: Interferometer,
         return i, coin(s_path, i, 0.5), coin(s_det, i, 0.5)
 
     def block_photons(on):  # a block's photons: detector and time, by (cycle, pulse)
-        i0, path0, det0 = pulse(on, _H_EXC0, _H_SURV0, _H_PATH0, _H_DET0)
-        i1, path1, det1 = pulse(on, _H_EXC1, _H_SURV1, _H_PATH1, _H_DET1)
+        i0, path0, det0 = pulse(on, Stream.HOM_EXC0, Stream.HOM_SURV0, Stream.HOM_PATH0,
+                                Stream.HOM_DET0)
+        i1, path1, det1 = pulse(on, Stream.HOM_EXC1, Stream.HOM_SURV1, Stream.HOM_PATH1,
+                                Stream.HOM_DET1)
         overlap = np.intersect1d(i0[path0], i1[~path1], assume_unique=True)
-        bunch = overlap[coin(_H_BUNCH, overlap, mutual_visibility)]
-        bunch_det = coin(_H_BUNCH_DET, bunch, 0.5)
+        bunch = overlap[coin(Stream.HOM_BUNCH, overlap, mutual_visibility)]
+        bunch_det = coin(Stream.HOM_BUNCH_DET, bunch, 0.5)
         det0[np.searchsorted(i0, bunch)] = bunch_det
         det1[np.searchsorted(i1, bunch)] = bunch_det
         # a cycle's pulse-0 photon comes after the pulse-1 photons of
@@ -427,8 +407,8 @@ def simulate_hom_run(emitter: EmitterParams, analyzer: Interferometer,
               np.arange(len(i1)) + np.searchsorted(i0, i1, side="right"))
         ch = np.empty(len(i0) + len(i1), dtype=np.int8)
         tm = np.empty(len(ch))
-        for s_exp, lead, i, path, det, pos in zip(
-                (_H_EXP0, _H_EXP1), (0.0, d), (i0, i1), (path0, path1), (det0, det1), at):
+        for s_exp, lead, i, path, det, pos in zip((Stream.HOM_EXP0, Stream.HOM_EXP1), (0.0, d),
+                                                  (i0, i1), (path0, path1), (det0, det1), at):
             t = i * pair_period
             t += lead
             t += path * d
@@ -448,12 +428,12 @@ def simulate_autocorrelation(emitter: EmitterParams, photon: str,
     """Hanbury Brown-Twiss stream of one photon species split 50/50.
 
     One pass over the emission blocks: each block's photons take the split
-    coin (stream 40) and go to the detectors numbered in emission order, so
+    coin (`HBT_SPLIT`) and go to the detectors numbered in emission order, so
     the only whole-run arrays are the clicks.
     """
     if photon not in ("xx", "x"):
         raise ValueError("photon must be 'xx' or 'x'")
-    r_split = rng.CounterRng(seed, 40)
+    r_split = rng.CounterRng(seed, Stream.HBT_SPLIT)
     photons = ((r_split.below(len(rec), 0.5).view(np.int8), getattr(rec, f"t_{photon}"))
                for rec in pair_emission_blocks(emitter, seed, cycles))
     return _detect_blocks(photons, detectors, cycles * emitter.rep_period, seed)
@@ -479,12 +459,12 @@ def simulate_poissonian_source(mean_photons: float, tau: float, rep_period: floa
     if not mean_photons >= 0.0:
         raise ValueError("mean_photons must be non-negative")
     cdf = _poisson_cdf(mean_photons)
-    r_n = rng.CounterRng(seed, 50)
+    r_n = rng.CounterRng(seed, Stream.POISSONIAN_N)
     n = np.searchsorted(cdf, r_n.uniform(cycles), side="left")
     total = int(n.sum())
     cyc = np.repeat(np.arange(cycles), n)
-    r_t = rng.CounterRng(seed, 51)
-    r_split = rng.CounterRng(seed, 52)
+    r_t = rng.CounterRng(seed, Stream.POISSONIAN_T)
+    r_split = rng.CounterRng(seed, Stream.POISSONIAN_SPLIT)
     tm = cyc * rep_period + r_t.exponential(total, tau)
     ch = (r_split.uniform(total) < 0.5).astype(np.int8)
     return _detect(ch, tm, detectors, cycles * rep_period, seed)

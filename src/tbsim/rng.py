@@ -14,10 +14,13 @@ counter-based (random access, no mutable state shared between workers):
 Substreams are derived by re-keying: the seed of stream k is output_k of
 the master sequence XORed with a fixed stream salt.  Distinct (stream,
 counter) pairs therefore never collide, and cycle-indexed draws are
-independent of worker count and iteration order.
+independent of worker count and iteration order. Every stream is declared
+once, in `Stream`.
 """
 
 from __future__ import annotations
+
+import enum
 
 import numpy as np
 
@@ -33,6 +36,71 @@ _INV53 = 1.0 / float(1 << 53)
 # counters at a time, so no whole-run per-cycle array exists. A draw at a
 # counter does not depend on the blocking, so neither does any output.
 BLOCK = 1 << 15
+
+# what draws a stream: a command, or a model that no command runs
+_HOM, _AUTOCORR = "simulate hom", "simulate autocorr"
+_TIMEBIN, _POISSONIAN = "simulate_timebin_run", "simulate_poissonian_source"
+_BLINKING = (_HOM, _AUTOCORR, _TIMEBIN)
+_DETECTED = _BLINKING + (_POISSONIAN,)
+
+
+@enum.unique
+class Stream(enum.IntEnum):
+    """Every stream a run draws: its name, its id and what draws it (`drawn_by`).
+
+    The id keys the stream's values (`stream_seed`), so changing one changes
+    every output that reads it, a declared golden rewrite. Ids are unique, so
+    two streams of one command never share their draws. `TOMO_RESAMPLE` is
+    the first of a family: Monte-Carlo resample k draws id 70 + k, which
+    reaches other streams' ids from 11 resamples on; `analyze tomo` draws no
+    other stream, nor does `simulate tomography` any of the family.
+    """
+
+    def __new__(cls, value: int, drawn_by: tuple):
+        member = int.__new__(cls, value)
+        member._value_ = value
+        member.drawn_by = drawn_by
+        return member
+
+    TELEGRAPH = 0, _BLINKING
+    TELEGRAPH_INIT = 1, _BLINKING
+    EXCITE = 2, (_AUTOCORR,)
+    TWO_PAIR = 3, (_AUTOCORR,)
+    EXP_XX = 4, (_AUTOCORR,)
+    EXP_X = 5, (_AUTOCORR,)
+    EXP_XX_EXTRA = 6, (_AUTOCORR,)
+    EXP_X_EXTRA = 7, (_AUTOCORR,)
+    TIMEBIN_EXCITE = 10, (_TIMEBIN,)
+    TIMEBIN_BIN = 11, (_TIMEBIN,)
+    TIMEBIN_PATH_XX = 12, (_TIMEBIN,)
+    TIMEBIN_PATH_X = 13, (_TIMEBIN,)
+    TIMEBIN_SURV_1 = 14, (_TIMEBIN,)
+    TIMEBIN_SURV_2 = 15, (_TIMEBIN,)
+    TIMEBIN_EXP_XX = 16, (_TIMEBIN,)
+    TIMEBIN_EXP_X = 17, (_TIMEBIN,)
+    HOM_EXC0 = 20, (_HOM,)
+    HOM_EXC1 = 21, (_HOM,)
+    HOM_PATH0 = 22, (_HOM,)
+    HOM_PATH1 = 23, (_HOM,)
+    HOM_SURV0 = 24, (_HOM,)
+    HOM_SURV1 = 25, (_HOM,)
+    HOM_EXP0 = 26, (_HOM,)
+    HOM_EXP1 = 27, (_HOM,)
+    HOM_BUNCH = 28, (_HOM,)
+    HOM_DET0 = 29, (_HOM,)
+    HOM_DET1 = 30, (_HOM,)
+    HOM_BUNCH_DET = 31, (_HOM,)
+    HBT_SPLIT = 40, (_AUTOCORR,)
+    POISSONIAN_N = 50, (_POISSONIAN,)
+    POISSONIAN_T = 51, (_POISSONIAN,)
+    POISSONIAN_SPLIT = 52, (_POISSONIAN,)
+    TOMO_COUNTS = 60, ("simulate tomography",)
+    TOMO_RESAMPLE = 70, ("analyze tomo",)
+    LIFETIME = 80, ("simulate lifetime",)
+    RABI = 81, ("simulate rabi",)
+    DETECT_EFFICIENCY = 100, _DETECTED
+    DETECT_JITTER = 101, _DETECTED
+    DETECT_DARK = 102, _DETECTED
 
 
 def parse_seed(text: str) -> int:
@@ -128,7 +196,7 @@ class CounterRng:
     instead use the stateless module functions with explicit counters.
     """
 
-    def __init__(self, seed, stream: int = 0):
+    def __init__(self, seed, stream: int):
         self.seed = stream_seed(seed, stream)
         self.counter = 0
 
@@ -161,9 +229,14 @@ class CounterRng:
         A mean of zero or less gives 0. A mean below 10 uses Knuth's
         multiplication method: the draw is the first k at which the running
         product of uniforms 0..k falls below exp(-mean). Larger means use
-        PTRS transformed rejection.
+        PTRS transformed rejection. A mean at or above `POISSON_MAX_MEAN`
+        raises `PoissonMeanError` before any draw.
         """
         means = np.atleast_1d(np.asarray(means, dtype=np.float64))
+        too_large = means[means >= POISSON_MAX_MEAN]
+        if len(too_large):
+            raise PoissonMeanError(f"a Poisson mean of {too_large[0]:.4g} is at or above "
+                                   f"{POISSON_MAX_MEAN:.4g}, where a draw may not fit int64")
         keys = random_u64(self.seed, self._next_counters(len(means)))
         out = np.zeros(len(means), dtype=np.int64)
         drawn = ~(means <= 0.0)  # not `> 0`: a NaN mean reaches PTRS, which raises
@@ -182,6 +255,13 @@ class CounterRng:
 
 
 _POISSON_BUDGET = 64
+# PTRS accepts a draw only within about 16 sqrt(mean) of the mean, so below
+# this every draw fits int64 (2^63 = 9.22e18)
+POISSON_MAX_MEAN = 9.2e18
+
+
+class PoissonMeanError(ValueError, OverflowError):
+    """A Poisson mean at or above `POISSON_MAX_MEAN`: bad input whose draw may overflow."""
 
 
 def _poisson_ptrs(mu: float, us: np.ndarray) -> int:

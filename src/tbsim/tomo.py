@@ -89,7 +89,7 @@ def simulate_counts(rho, per_setting_cycles: int, efficiency_product: float, see
     if not (0.0 < efficiency_product <= 1.0):
         raise ValueError("efficiency_product must be in (0, 1]")
     means = per_setting_cycles * efficiency_product * probabilities(rho)
-    r = rng.CounterRng(seed, 60)
+    r = rng.CounterRng(seed, rng.Stream.TOMO_COUNTS)
     return CountsTable(counts=r.poisson(means))
 
 
@@ -279,9 +279,11 @@ def mle_reconstruct(table: CountsTable) -> MleResult:
 
 
 def _resample(table: CountsTable, runs: int, seed) -> np.ndarray:
-    """`runs` Poisson resamples of the counts, one RNG stream each: (runs, 16)."""
+    """`runs` Poisson resamples of the counts, (runs, 16); resample k draws stream
+    `TOMO_RESAMPLE` + k."""
     means = table.counts.astype(float)
-    return np.stack([rng.CounterRng(seed, 70 + k).poisson(means) for k in range(runs)])
+    return np.stack([rng.CounterRng(seed, rng.Stream.TOMO_RESAMPLE + k).poisson(means)
+                     for k in range(runs)])
 
 
 def monte_carlo_errors(table: CountsTable, runs: int = 50, seed=0) -> tuple[float, float, int]:

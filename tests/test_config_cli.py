@@ -125,9 +125,10 @@ def _counts(n=100, extra=""):
     return "xx_proj,x_proj,count\n" + rows + extra
 
 
-def _flat_hist(shift=0.0):
-    # 41 bins of 10 ps around 0, flat: g2(0) = 1 with --rep-period 40
-    rows = "".join(f"{-200.0 + 10.0 * i + shift!r},50\n" for i in range(41))
+def _flat_hist(shift=0.0, centre=50):
+    # 41 bins of 10 ps around 0, flat save the bin at 0: g2(0) = 1 with --rep-period 40
+    rows = "".join(f"{-200.0 + 10.0 * i + shift!r},{centre if i == 20 else 50}\n"
+                   for i in range(41))
     return "# bin_width_ps=10.0\n# origin_ps=-205.0\ndelay_ps,counts\n" + rows
 
 
@@ -191,10 +192,24 @@ _MALFORMED = {
         [], 3),
     "g2-input-is-directory": ("analyze g2", _DIRECTORY, [], 3),
     "tomo-count-beyond-int64": ("analyze tomo", _counts(2**63), [], 3),
+    # an int64 count, but its resamples' Poisson draws may not fit int64
+    "tomo-count-at-int64-max": ("analyze tomo", _counts(2**63 - 1), ["--mc-runs", "2"], 3,
+                                "Poisson mean"),
+    # each count an int64, their total not: the peak areas' cumsum wrapped to -9.2e18
+    "hom-count-total-beyond-int64": ("analyze hom", _flat_hist(centre=2**63 - 1),
+                                     ["--delay", "40"], 3, "64-bit range"),
+    "g2-count-total-beyond-int64": ("analyze g2", _flat_hist(centre=2**63 - 1),
+                                    ["--rep-period", "40"], 3, "64-bit range"),
     "g2-shifted-delay-column": ("analyze g2", _flat_hist(shift=5.0),
                                 ["--rep-period", "40"], 3),
     "rabi-nan": ("analyze rabi", "sqrt_power,counts\n0.1,5\nnan,9\n0.3,20\n", [], 3),
     "rabi-one-row": ("analyze rabi", "sqrt_power,counts\n0.5,40\n", [], 3),
+    "rabi-negative-count": ("analyze rabi", _rabi_scan().replace(",1000\n", ",-500\n"), [], 3,
+                            "negative"),
+    "rabi-fractional-count": ("analyze rabi", _rabi_scan().replace(",1000\n", ",12.5\n"), [],
+                              3, "12.5"),
+    "rabi-negative-sqrt-power": ("analyze rabi", _rabi_scan().replace("0.1,", "-1,"), [], 3,
+                                 "negative"),
     "rabi-zero-rate-normalization": ("analyze rabi", _rabi_scan(),
                                      ["--rate-normalization", "0"], 3, "rate-normalization"),
     "rabi-nan-rate-normalization": ("analyze rabi", _rabi_scan(),
@@ -256,6 +271,17 @@ _MALFORMED = {
     "rabi-negative-damping": ("simulate rabi", "rabi.damping = -1\n", [], 2, "rabi.damping"),
     "rabi-damping-above-1": ("simulate rabi", "rabi.damping = 5\n", [], 2, "rabi.damping"),
     "rabi-negative-cycles": ("simulate rabi", "rabi.cycles_per_point = -5\n", [], 2),
+    # Poisson means whose draws may not fit int64, and counts beyond the float range
+    "rabi-cycles-beyond-int64-draws": ("simulate rabi", f"rabi.cycles_per_point = {10**23}\n",
+                                       [], 2, "'rabi.cycles_per_point'", "Poisson mean"),
+    "rabi-cycles-beyond-float-range": ("simulate rabi", f"rabi.cycles_per_point = {10**400}\n",
+                                       [], 2, "'rabi.cycles_per_point'"),
+    "tomography-cycles-beyond-int64-draws": (
+        "simulate tomography", f"tomography.cycles_per_setting = {10**26}\n", [], 2,
+        "'tomography.cycles_per_setting'", "Poisson mean"),
+    "tomography-cycles-beyond-float-range": (
+        "simulate tomography", f"tomography.cycles_per_setting = {10**400}\n", [], 2,
+        "'tomography.cycles_per_setting'"),
     "cavity-na-above-1": ("cavity efficiency", None, ["--nas", "1.5"], 2),
     "cavity-negative-height": ("cavity purcell", None, ["--heights", "-1"], 2),
     "cavity-no-interior-peak": ("cavity spectrum", "cavity.t_cavity_nm = 200\n", [], 2,

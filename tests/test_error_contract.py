@@ -43,7 +43,7 @@ _ANALYSES = {
 
 # a field replaced is drawn four times as often as each line mutation
 _KINDS = ("drop", "repeat", "cut", "truncate") + ("field",) * 4
-_BAD_FIELDS = ("nan", "-nan", "inf", "-inf", "1e400", "-1e400", str(2**64),
+_BAD_FIELDS = ("nan", "-nan", "inf", "-inf", "1e400", "-1e400", str(2**64), str(2**63 - 1),
                "-" + str(2**63 + 1), "9" * 400, "", " ", "0", "-1", "1e-320")
 
 

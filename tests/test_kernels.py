@@ -41,23 +41,23 @@ def _dead_time_oracle(times, dead_time):
 
 def test_telegraph_against_step_oracle():
     for seed, n, p_on_off, p_off_on in ((8, 300, 0.1, 0.3), (31, 5000, 0.01, 0.02)):
-        u = CounterRng(seed).uniform(n)
+        u = CounterRng(seed, stream=0).uniform(n)
         got = kernels.telegraph(u, p_on_off, p_off_on, True)
         assert got.dtype == np.int8
         assert got.tolist() == _telegraph_oracle(u, p_on_off, p_off_on, True)
 
 
 def test_telegraph_stationary_fraction():
-    u = CounterRng(9).uniform(400000)
+    u = CounterRng(9, stream=0).uniform(400000)
     on = kernels.telegraph(u, 0.003, 0.005, True)
     assert abs(on.mean() - 0.625) < 0.02
 
 
 def test_pair_delay_counts_against_brute_force():
-    r = CounterRng(10)
+    r = CounterRng(10, stream=0)
     sets = [(np.sort(r.uniform(150) * 1e5), np.sort(r.uniform(170) * 1e5),
              -40000.0, 800.0, 100)]
-    r = CounterRng(31)
+    r = CounterRng(31, stream=0)
     sets.append((np.sort(r.uniform(300) * 1e7), np.sort(r.uniform(300) * 1e7),
                  -5e6, 1e4, 1000))
     for starts, stops, lo, w, nb in sets:
@@ -115,12 +115,12 @@ def test_dead_time_mask_enforces_spacing():
 
 
 def test_dead_time_mask_against_greedy_oracle():
-    times = np.sort(CounterRng(31).uniform(2000) * 1e8)
+    times = np.sort(CounterRng(31, stream=0).uniform(2000) * 1e8)
     assert kernels.dead_time_mask(times, 1e5).tolist() == _dead_time_oracle(times, 1e5)
 
 
 def test_dead_time_zero_keeps_all():
-    times = np.sort(CounterRng(11).uniform(100))
+    times = np.sort(CounterRng(11, stream=0).uniform(100))
     assert kernels.dead_time_mask(times, 0.0).all()
 
 

@@ -90,7 +90,7 @@ def test_counter_rng_moving_counter():
 
 
 def test_poisson_moments_small_and_large_mu():
-    r = rng.CounterRng(2024)
+    r = rng.CounterRng(2024, stream=0)
     for mu in (0.5, 3.0, 25.0, 400.0):
         n = 40000
         x = r.poisson(np.full(n, mu))
@@ -99,7 +99,7 @@ def test_poisson_moments_small_and_large_mu():
 
 
 def test_poisson_zero_mean():
-    r = rng.CounterRng(1)
+    r = rng.CounterRng(1, stream=0)
     assert np.all(r.poisson(np.zeros(10)) == 0)
     with pytest.raises(ValueError):  # a NaN mean is not drawn as 0
         r.poisson(np.array([1.0, np.nan]))
@@ -111,6 +111,16 @@ def test_poisson_draw_beyond_int64_raises():
     for mu in (1e19, 1e300, np.inf):
         with pytest.raises(OverflowError):
             r.poisson(np.array([mu]))
+
+
+def test_poisson_mean_whose_draw_may_not_fit_int64_is_a_value_error():
+    r = rng.CounterRng(1, stream=2)
+    for mu in (rng.POISSON_MAX_MEAN, 2.0**63, np.inf):
+        with pytest.raises(ValueError, match="Poisson mean"):
+            r.poisson(np.array([5.0, mu]))
+    assert r.counter == 0  # raised before any draw
+    below = np.nextafter(rng.POISSON_MAX_MEAN, 0.0)
+    assert abs(int(r.poisson(np.array([below]))[0]) - below) < 20 * math.sqrt(below)
 
 
 def poisson_one_oracle(mu, key):

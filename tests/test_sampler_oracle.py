@@ -21,19 +21,14 @@ import numpy as np
 import pytest
 
 from tbsim import cascade, rng
-from tbsim.cascade import (_S_EXCITE, _S_EXP_X, _S_EXP_X_EXTRA, _S_EXP_XX,
-                           _S_EXP_XX_EXTRA, _S_TELEGRAPH, _S_TELEGRAPH_INIT,
-                           _S_TWO_PAIR, EmissionRecords, EmitterParams,
-                           blinking_telegraph, merge_records, sample_pair_emission,
-                           two_pair_prob_for_g2)
+from tbsim.cascade import (EmissionRecords, EmitterParams, blinking_telegraph,
+                           merge_records, sample_pair_emission, two_pair_prob_for_g2)
 from tbsim.cli import main
 from tbsim.config import RunConfig
 from tbsim.kernels import dead_time_mask, telegraph
-from tbsim.optics import (_H_BUNCH, _H_BUNCH_DET, _H_DET0, _H_DET1, _H_EXC0,
-                          _H_EXC1, _H_EXP0, _H_EXP1, _H_PATH0, _H_PATH1,
-                          _H_SURV0, _H_SURV1, DetectorModel, Interferometer,
-                          PhotonEvents, _detect, simulate_autocorrelation,
-                          simulate_hom_run)
+from tbsim.optics import (DetectorModel, Interferometer, PhotonEvents, _detect,
+                          simulate_autocorrelation, simulate_hom_run)
+from tbsim.rng import Stream
 
 # --- reference implementations: the full-draw samplers, verbatim ------------
 
@@ -51,9 +46,9 @@ def whole_run_telegraph(on_fraction: float, mean_on_duration: float, seed,
             f"on_fraction {on_fraction} with mean ON duration {mean_on_duration} "
             "implies an OFF dwell shorter than one cycle"
         )
-    u_init = rng.uniform(rng.stream_seed(seed, _S_TELEGRAPH_INIT), [0])[0]
+    u_init = rng.uniform(rng.stream_seed(seed, Stream.TELEGRAPH_INIT), [0])[0]
     start_on = bool(u_init < on_fraction)
-    us = rng.uniform(rng.stream_seed(seed, _S_TELEGRAPH), np.arange(cycles, dtype=np.uint64))
+    us = rng.uniform(rng.stream_seed(seed, Stream.TELEGRAPH), np.arange(cycles, dtype=np.uint64))
     return telegraph(us, p_on_off, p_off_on, start_on)
 
 
@@ -66,12 +61,12 @@ def full_draw_sample_pair_emission(params: EmitterParams, seed, cycles: int) -> 
     ).astype(bool)
 
     counters = np.arange(cycles, dtype=np.uint64)
-    u_exc = rng.uniform(rng.stream_seed(seed, _S_EXCITE), counters)
-    u_two = rng.uniform(rng.stream_seed(seed, _S_TWO_PAIR), counters)
-    e_xx = rng.exponential(rng.stream_seed(seed, _S_EXP_XX), counters, params.tau_xx)
-    e_x = rng.exponential(rng.stream_seed(seed, _S_EXP_X), counters, params.tau_x)
-    e_xx2 = rng.exponential(rng.stream_seed(seed, _S_EXP_XX_EXTRA), counters, params.tau_xx)
-    e_x2 = rng.exponential(rng.stream_seed(seed, _S_EXP_X_EXTRA), counters, params.tau_x)
+    u_exc = rng.uniform(rng.stream_seed(seed, Stream.EXCITE), counters)
+    u_two = rng.uniform(rng.stream_seed(seed, Stream.TWO_PAIR), counters)
+    e_xx = rng.exponential(rng.stream_seed(seed, Stream.EXP_XX), counters, params.tau_xx)
+    e_x = rng.exponential(rng.stream_seed(seed, Stream.EXP_X), counters, params.tau_x)
+    e_xx2 = rng.exponential(rng.stream_seed(seed, Stream.EXP_XX_EXTRA), counters, params.tau_xx)
+    e_x2 = rng.exponential(rng.stream_seed(seed, Stream.EXP_X_EXTRA), counters, params.tau_x)
 
     cyc = np.arange(cycles, dtype=np.int64)
     excited = on & (u_exc < params.p_emit_pi)
@@ -95,22 +90,23 @@ def full_draw_simulate_hom_run(emitter: EmitterParams, analyzer: Interferometer,
                              emitter.blinking_mean_on_cycles, seed, cycles).astype(bool)
     c = np.arange(cycles, dtype=np.uint64)
     u = {s: rng.uniform(rng.stream_seed(seed, s), c)
-         for s in (_H_EXC0, _H_EXC1, _H_PATH0, _H_PATH1, _H_SURV0, _H_SURV1,
-                   _H_BUNCH, _H_DET0, _H_DET1, _H_BUNCH_DET)}
-    e0 = rng.exponential(rng.stream_seed(seed, _H_EXP0), c, emitter.tau_xx)
-    e1 = rng.exponential(rng.stream_seed(seed, _H_EXP1), c, emitter.tau_xx)
+         for s in (Stream.HOM_EXC0, Stream.HOM_EXC1, Stream.HOM_PATH0, Stream.HOM_PATH1,
+                   Stream.HOM_SURV0, Stream.HOM_SURV1, Stream.HOM_BUNCH, Stream.HOM_DET0,
+                   Stream.HOM_DET1, Stream.HOM_BUNCH_DET)}
+    e0 = rng.exponential(rng.stream_seed(seed, Stream.HOM_EXP0), c, emitter.tau_xx)
+    e1 = rng.exponential(rng.stream_seed(seed, Stream.HOM_EXP1), c, emitter.tau_xx)
 
-    emit0 = on & (u[_H_EXC0] < emitter.p_emit_pi) & (u[_H_SURV0] < 0.5)
-    emit1 = on & (u[_H_EXC1] < emitter.p_emit_pi) & (u[_H_SURV1] < 0.5)
-    path0 = (u[_H_PATH0] < 0.5).astype(np.int8)
-    path1 = (u[_H_PATH1] < 0.5).astype(np.int8)
+    emit0 = on & (u[Stream.HOM_EXC0] < emitter.p_emit_pi) & (u[Stream.HOM_SURV0] < 0.5)
+    emit1 = on & (u[Stream.HOM_EXC1] < emitter.p_emit_pi) & (u[Stream.HOM_SURV1] < 0.5)
+    path0 = (u[Stream.HOM_PATH0] < 0.5).astype(np.int8)
+    path1 = (u[Stream.HOM_PATH1] < 0.5).astype(np.int8)
 
     overlap = emit0 & emit1 & (path0 == 1) & (path1 == 0)
-    bunch = overlap & (u[_H_BUNCH] < mutual_visibility)
+    bunch = overlap & (u[Stream.HOM_BUNCH] < mutual_visibility)
 
-    det0 = (u[_H_DET0] < 0.5).astype(np.int8)
-    det1 = (u[_H_DET1] < 0.5).astype(np.int8)
-    bunch_det = (u[_H_BUNCH_DET] < 0.5).astype(np.int8)
+    det0 = (u[Stream.HOM_DET0] < 0.5).astype(np.int8)
+    det1 = (u[Stream.HOM_DET1] < 0.5).astype(np.int8)
+    bunch_det = (u[Stream.HOM_BUNCH_DET] < 0.5).astype(np.int8)
     det0 = np.where(bunch, bunch_det, det0)
     det1 = np.where(bunch, bunch_det, det1)
 
