@@ -142,9 +142,12 @@ def _simulate_tomography(cfg: RunConfig, run: _Run) -> None:
     from . import optics, tomo
     from .config import ConfigError
     rho = optics.ideal_timebin_density(cfg.state)
+    efficiency_product = cfg.detectors.efficiency**2  # both photons are detected
+    if not efficiency_product > 0.0:
+        raise ConfigError("detector.efficiency", f"{cfg.detectors.efficiency!r} squared, "
+                          "the pair detection efficiency, underflows to 0")
     try:  # a count beyond the float range, or a mean too large to draw (PoissonMeanError)
-        table = tomo.simulate_counts(
-            rho, cfg.tomography_cycles, cfg.detectors.efficiency**2, cfg.seed)
+        table = tomo.simulate_counts(rho, cfg.tomography_cycles, efficiency_product, cfg.seed)
     except OverflowError as exc:
         raise ConfigError("tomography.cycles_per_setting", f"too many counts: {exc}") from None
     run.write("tomography_counts.csv", table.to_csv())
@@ -454,8 +457,27 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} {exc}") from None
 
 
+def _mc_runs(text: str) -> int:
+    """`--mc-runs`: at least 2 resamples, since their spread is a sample std."""
+    try:
+        runs = int(text)
+    except ValueError:  # not an integer at all breaks the same rule
+        runs = 0
+    if runs < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} must be an integer of at least 2")
+    return runs
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one line on stderr, `prog: error: message`, exit 2,
+    like every other error; `-h` still prints the usage."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="tbsim",
         description="Time-bin entanglement experiment simulator and analyzer")
     p.add_argument("--version", action="version", version=__version__)
@@ -483,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("input", help="input CSV/cfg file")
     ana["tomo"].add_argument("--seed", type=_seed, default=0,
                              help="Monte-Carlo resampling seed")
-    ana["tomo"].add_argument("--mc-runs", type=int, default=50,
-                             help="Monte-Carlo error-bar resamples")
+    ana["tomo"].add_argument("--mc-runs", type=_mc_runs, default=50,
+                             help="Monte-Carlo error-bar resamples (at least 2)")
     ana["g2"].add_argument("--rep-period", type=float, default=12500.0,
                            help="pulse repetition period in ps")
     ana["hom"].add_argument("--delay", type=float, default=3000.0,

@@ -21,6 +21,7 @@ once, in `Stream`.
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -188,6 +189,103 @@ def normal_pairs(seed, counters) -> np.ndarray:
     return r
 
 
+_POISSON_BUDGET = 64
+# PTRS accepts a draw only within about 16 sqrt(mean) of the mean, so below
+# this every draw fits int64 (2^63 = 9.22e18)
+POISSON_MAX_MEAN = 9.2e18
+
+
+class PoissonMeanError(ValueError, OverflowError):
+    """A Poisson mean at or above `POISSON_MAX_MEAN`: bad input whose draw may overflow."""
+
+
+def poisson(keys, means) -> np.ndarray:
+    """Poisson counts, one per (key, mean) pair; the two arrays broadcast.
+
+    A draw reads the uniforms at counters 0, 1, ... of its own key, at most
+    `_POISSON_BUDGET` of them, so it depends on its key and mean alone and
+    stays counter-addressable. A mean of zero or less gives 0. A mean below
+    10 uses Knuth's multiplication method: the draw is the first k at which
+    the running product of uniforms 0..k falls below exp(-mean). Larger
+    means use Hormann's PTRS transformed rejection, one candidate from each
+    pair of uniforms (2j, 2j + 1). Both run in rounds, and round j draws its
+    uniforms only for the draws still pending. A NaN mean, or one at or
+    above `POISSON_MAX_MEAN`, raises before any draw.
+    """
+    means = np.asarray(means, dtype=np.float64)
+    keys, means = np.broadcast_arrays(np.asarray(keys, dtype=np.uint64), means)
+    shape, keys, means = means.shape, keys.ravel(), means.ravel()
+    if np.isnan(means).any():
+        raise ValueError("a Poisson mean is NaN")
+    too_large = means[means >= POISSON_MAX_MEAN]
+    if len(too_large):
+        raise PoissonMeanError(f"a Poisson mean of {too_large[0]:.4g} is at or above "
+                               f"{POISSON_MAX_MEAN:.4g}, where a draw may not fit int64")
+    out = np.zeros(len(means), dtype=np.int64)
+    idx = np.flatnonzero((means > 0.0) & (means < 10.0))
+    out[idx] = _poisson_knuth(keys[idx], means[idx])
+    idx = np.flatnonzero(means >= 10.0)
+    out[idx] = _poisson_ptrs(keys[idx], means[idx])
+    return out.reshape(shape)
+
+
+def _poisson_knuth(keys: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Knuth's method for 0 < mu < 10: round j multiplies in uniform j."""
+    k = np.zeros(len(mu), dtype=np.int64)
+    limit = np.exp(-mu)
+    prod = np.ones(len(mu))
+    pending = np.arange(len(mu))
+    for j in range(_POISSON_BUDGET):
+        if not pending.size:
+            return k
+        prod *= uniform(keys, j)
+        done = prod < limit
+        k[pending[done]] = j
+        keep = ~done
+        pending, keys, prod, limit = pending[keep], keys[keep], prod[keep], limit[keep]
+    if pending.size:
+        raise RuntimeError("poisson sampling exhausted its draw budget")
+    return k
+
+
+def _poisson_ptrs(keys: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Hormann's PTRS transformed-rejection sampler for mu >= 10.
+
+    The arithmetic is that of the scalar algorithm, element by element, so
+    every draw is the one a draw-at-a-time loop gives. The full test's
+    `log` and `lgamma` are `math`'s, applied to the few candidates that
+    reach it, since a vectorised `log` may differ in the last bit.
+    """
+    k = np.zeros(len(mu), dtype=np.int64)
+    b = 0.931 + 2.53 * np.sqrt(mu)
+    a = -0.059 + 0.02483 * b
+    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    pending = np.arange(len(mu))
+    for j in range(0, _POISSON_BUDGET - 1, 2):
+        if not pending.size:
+            return k
+        u = uniform(keys, j)
+        u -= 0.5
+        v = uniform(keys, j + 1)
+        s = 0.5 - np.abs(u)
+        cand = np.floor((2.0 * a / s + b) * u + mu + 0.43)
+        done = (s >= 0.07) & (v <= v_r)
+        full = np.flatnonzero(~done & ~((cand < 0) | ((s < 0.013) & (v > s))))
+        if full.size:
+            arg = v[full] * inv_alpha[full] / (a[full] / (s[full] * s[full]) + b[full])
+            done[full] = [math.log(x) <= kf * math.log(m) - m - math.lgamma(kf + 1.0)
+                          for x, kf, m in zip(arg.tolist(), cand[full].tolist(),
+                                              mu[full].tolist())]
+        k[pending[done]] = cand[done]
+        keep = ~done
+        pending, keys, mu = pending[keep], keys[keep], mu[keep]
+        a, b, inv_alpha, v_r = a[keep], b[keep], inv_alpha[keep], v_r[keep]
+    if pending.size:
+        raise RuntimeError("poisson sampling exhausted its draw budget")
+    return k
+
+
 class CounterRng:
     """Convenience wrapper tying a (seed, stream) pair to a moving counter.
 
@@ -221,68 +319,12 @@ class CounterRng:
         return below(self.seed, self._next_counters(n), p)
 
     def poisson(self, means) -> np.ndarray:
-        """Poisson counts, one per entry of `means`.
-
-        Each draw gets a private SplitMix64 substream (keyed by this
-        stream's seed and the draw counter) holding up to 64 uniforms for
-        the rejection loop, so the sequence stays counter-addressable.
-        A mean of zero or less gives 0. A mean below 10 uses Knuth's
-        multiplication method: the draw is the first k at which the running
-        product of uniforms 0..k falls below exp(-mean). Larger means use
-        PTRS transformed rejection. A mean at or above `POISSON_MAX_MEAN`
-        raises `PoissonMeanError` before any draw.
-        """
+        """Poisson counts, one per entry of `means` (module `poisson`):
+        draw i takes the next counter, and its key is this stream's
+        SplitMix64 output there. The counter does not move when a mean is
+        rejected."""
         means = np.atleast_1d(np.asarray(means, dtype=np.float64))
-        too_large = means[means >= POISSON_MAX_MEAN]
-        if len(too_large):
-            raise PoissonMeanError(f"a Poisson mean of {too_large[0]:.4g} is at or above "
-                                   f"{POISSON_MAX_MEAN:.4g}, where a draw may not fit int64")
-        keys = random_u64(self.seed, self._next_counters(len(means)))
-        out = np.zeros(len(means), dtype=np.int64)
-        drawn = ~(means <= 0.0)  # not `> 0`: a NaN mean reaches PTRS, which raises
-        us = uniform(keys[drawn, None], np.arange(_POISSON_BUDGET, dtype=np.uint64))
-        mu = means[drawn]
-        knuth = mu < 10.0
-        below = np.cumprod(us[knuth], axis=1) < np.exp(-mu[knuth])[:, None]
-        if not below.any(axis=1).all():
-            raise RuntimeError("poisson sampling exhausted its draw budget")
-        k = np.empty(len(mu), dtype=np.int64)
-        k[knuth] = below.argmax(axis=1)
-        for i in np.flatnonzero(~knuth):
-            k[i] = _poisson_ptrs(mu[i], us[i])
-        out[drawn] = k
+        counters = np.arange(self.counter, self.counter + len(means), dtype=np.uint64)
+        out = poisson(random_u64(self.seed, counters), means)
+        self.counter += len(means)
         return out
-
-
-_POISSON_BUDGET = 64
-# PTRS accepts a draw only within about 16 sqrt(mean) of the mean, so below
-# this every draw fits int64 (2^63 = 9.22e18)
-POISSON_MAX_MEAN = 9.2e18
-
-
-class PoissonMeanError(ValueError, OverflowError):
-    """A Poisson mean at or above `POISSON_MAX_MEAN`: bad input whose draw may overflow."""
-
-
-def _poisson_ptrs(mu: float, us: np.ndarray) -> int:
-    """Hormann's PTRS transformed-rejection sampler for mu >= 10."""
-    import math
-
-    b = 0.931 + 2.53 * math.sqrt(mu)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    log_mu = math.log(mu)
-    for j in range(0, _POISSON_BUDGET - 1, 2):
-        u = us[j] - 0.5
-        v = us[j + 1]
-        us_ = 0.5 - abs(u)
-        k = math.floor((2.0 * a / us_ + b) * u + mu + 0.43)
-        if us_ >= 0.07 and v <= v_r:
-            return int(k)
-        if k < 0 or (us_ < 0.013 and v > us_):
-            continue
-        lhs = math.log(v * inv_alpha / (a / (us_ * us_) + b))
-        if lhs <= k * log_mu - mu - math.lgamma(k + 1.0):
-            return int(k)
-    raise RuntimeError("poisson sampling exhausted its draw budget")

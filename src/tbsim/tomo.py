@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .qcore import BELL_PHI_PLUS, DensityMatrix, _as_matrix, concurrence, fidelity_to_state
+from .qcore import (BELL_PHI_PLUS, DensityMatrix, _as_matrix, check_density_matrices,
+                    concurrence, fidelity_to_state)
 from .table import format_table, read_table
 
 
@@ -201,6 +202,11 @@ def minimize(n: np.ndarray, h0: np.ndarray) -> ApgResult:
     the momentum, so no fit ends above its start. A fit stops by the
     `_MLE_STALL_*` rule and then leaves the batch. n: (m, 16) counts;
     h0: (m, 4, 4) positive starting points.
+
+    The loop holds the state of the fits still in the batch only, in row
+    order, and compacts it on the iterations where a fit leaves. Each NumPy
+    call sees the rows of the fits it works on, in row order: a one-row
+    product takes another path than a stack and may differ in the last bit.
     """
     m = len(n)
     tol = _MLE_STALL_TOL * n.sum(axis=1)
@@ -208,51 +214,69 @@ def minimize(n: np.ndarray, h0: np.ndarray) -> ApgResult:
     x = h0.reshape(m, 16).astype(complex)
     fx, gx = _nll_and_gradient(x, n)
     nfev = m
-    x_prev = x.copy()
+    x_prev = x
     theta = np.ones(m)
     stalls = np.zeros(m, dtype=int)
     nit = np.zeros(m, dtype=int)
-    active = np.arange(m)
-    while active.size:
-        na, xa = n[active], x[active]
-        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta[active] ** 2))
-        beta = (theta[active] - 1.0) / theta_next
-        y, fy, gy = xa.copy(), fx[active], gx[active]
+    rows = np.arange(m)  # the row of each fit still in the batch
+    x_out, stalls_out, nit_out = np.empty_like(x), np.empty_like(stalls), np.empty_like(nit)
+    while rows.size:
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
+        beta = (theta - 1.0) / theta_next
+        y, fy, gy = x, fx, gx
         moved = np.flatnonzero(beta > 0)
+        if moved.size == rows.size:  # every fit: no gather
+            ym = x + beta[:, None] * (x - x_prev)
+            fm, gm = _nll_and_gradient(ym, n)
+        elif moved.size:
+            ym = x[moved] + beta[moved, None] * (x[moved] - x_prev[moved])
+            fm, gm = _nll_and_gradient(ym, n[moved])
         if moved.size:
-            ym = xa[moved] + beta[moved, None] * (xa[moved] - x_prev[active[moved]])
-            fm, gm = _nll_and_gradient(ym, na[moved])
             nfev += moved.size
             ok = np.isfinite(fm)  # else take a plain gradient step from x
-            y[moved[ok]], fy[moved[ok]], gy[moved[ok]] = ym[ok], fm[ok], gm[ok]
+            if moved.size == rows.size and ok.all():
+                y, fy, gy = ym, fm, gm
+            else:
+                y, fy, gy = x.copy(), fx.copy(), gx.copy()
+                y[moved[ok]], fy[moved[ok]], gy[moved[ok]] = ym[ok], fm[ok], gm[ok]
 
-        t = step[active]
-        z, fz, gz = np.empty_like(y), np.empty_like(fy), np.empty_like(gy)
-        todo = np.arange(len(active))
-        for _ in range(_MLE_MAX_HALVINGS):
+        # the first try takes every fit, the halvings those that backtrack
+        t = step.copy()
+        z = _clip_psd((y - t[:, None] * gy).reshape(-1, 4, 4)).reshape(-1, 16)
+        fz, gz = _nll_and_gradient(z, n)
+        nfev += rows.size
+        d = z - y
+        todo = np.flatnonzero(~(fz <= fy + _inner(gy, d) + _inner(d, d) / (2.0 * t)))
+        for _ in range(_MLE_MAX_HALVINGS - 1):
+            if not todo.size:
+                break
+            t[todo] *= 0.5
             zt = _clip_psd((y[todo] - t[todo, None] * gy[todo]).reshape(-1, 4, 4)).reshape(-1, 16)
-            ft, gt = _nll_and_gradient(zt, na[todo])
+            ft, gt = _nll_and_gradient(zt, n[todo])
             nfev += todo.size
             d = zt - y[todo]
             bound = fy[todo] + _inner(gy[todo], d) + _inner(d, d) / (2.0 * t[todo])
             z[todo], fz[todo], gz[todo] = zt, ft, gt
             todo = todo[~(ft <= bound)]
-            if not todo.size:
-                break
-            t[todo] *= 0.5
-        step[active] = 1.25 * t
+        t[todo] *= 0.5
+        step = 1.25 * t
 
-        rose = ~(fz <= fx[active])
-        decrease = np.where(rose, 0.0, fx[active] - fz)
-        x_prev[active] = xa
-        took = active[~rose]
-        x[took], fx[took], gx[took] = z[~rose], fz[~rose], gz[~rose]
-        theta[active] = np.where(rose, 1.0, theta_next)
-        stalls[active] = np.where(decrease <= tol[active], stalls[active] + 1, 0)
-        nit[active] += 1
-        active = active[(stalls[active] < _MLE_STALL_ITERS) & (nit[active] < _MLE_MAX_ITER)]
-    return ApgResult(x=x.reshape(m, 4, 4), nfev=int(nfev),
-                     converged=stalls >= _MLE_STALL_ITERS, nit=nit)
+        rose = ~(fz <= fx)
+        decrease = np.where(rose, 0.0, fx - fz)
+        if rose.any():
+            z[rose], fz[rose], gz[rose] = x[rose], fx[rose], gx[rose]
+        x_prev, x, fx, gx = x, z, fz, gz
+        theta = np.where(rose, 1.0, theta_next)
+        stalls = np.where(decrease <= tol, stalls + 1, 0)
+        nit += 1
+        stay = (stalls < _MLE_STALL_ITERS) & (nit < _MLE_MAX_ITER)
+        if not stay.all():
+            gone = rows[~stay]
+            x_out[gone], stalls_out[gone], nit_out[gone] = x[~stay], stalls[~stay], nit[~stay]
+            rows, n, tol, step, x, fx, gx, x_prev, theta, stalls, nit = (
+                a[stay] for a in (rows, n, tol, step, x, fx, gx, x_prev, theta, stalls, nit))
+    return ApgResult(x=x_out.reshape(m, 4, 4), nfev=int(nfev),
+                     converged=stalls_out >= _MLE_STALL_ITERS, nit=nit_out)
 
 
 def _fit(counts: np.ndarray):
@@ -279,24 +303,27 @@ def mle_reconstruct(table: CountsTable) -> MleResult:
 
 
 def _resample(table: CountsTable, runs: int, seed) -> np.ndarray:
-    """`runs` Poisson resamples of the counts, (runs, 16); resample k draws stream
-    `TOMO_RESAMPLE` + k."""
-    means = table.counts.astype(float)
-    return np.stack([rng.CounterRng(seed, rng.Stream.TOMO_RESAMPLE + k).poisson(means)
-                     for k in range(runs)])
+    """`runs` Poisson resamples of the counts, (runs, 16), in one draw: count i
+    of resample k is the draw at counter i of stream `TOMO_RESAMPLE` + k, as
+    `CounterRng(seed, TOMO_RESAMPLE + k).poisson` would give it."""
+    streams = np.array([rng.stream_seed(seed, rng.Stream.TOMO_RESAMPLE + k)
+                        for k in range(runs)])
+    keys = rng.random_u64(streams[:, None], np.arange(16, dtype=np.uint64))
+    return rng.poisson(keys, table.counts.astype(float))
 
 
 def monte_carlo_errors(table: CountsTable, runs: int = 50, seed=0) -> tuple[float, float, int]:
     """Poisson-resampled spread (sample std over `runs`) of the concurrence
     and of the fidelity to (|ee>+|ll>)/sqrt(2), and the number of resample
-    fits that converged. All resamples are fitted as one batch."""
+    fits that converged. All resamples are fitted as one batch, and their
+    density matrices are checked and measured as one stack."""
     if runs < 2:
         raise ValueError("need at least 2 Monte Carlo runs")
     counts = _resample(table, runs, seed)
     rhos, converged = _fit(counts)
-    rhos = [DensityMatrix(r) for r in rhos]
-    cs = [concurrence(r) for r in rhos]
-    fs = [fidelity_to_state(r, BELL_PHI_PLUS) for r in rhos]
+    check_density_matrices(rhos)
+    cs = concurrence(rhos)
+    fs = fidelity_to_state(rhos, BELL_PHI_PLUS)
     return float(np.std(cs, ddof=1)), float(np.std(fs, ddof=1)), int(converged.sum())
 
 

@@ -309,6 +309,9 @@ _MALFORMED = {
     "key-negative-tau-xx": _rejects("simulate hom", "emitter.tau_xx_ps = -1"),
     "key-visibility-above-1": _rejects("simulate tomography", "state.visibility = 1.5"),
     "key-efficiency-above-1": _rejects("simulate tomography", "detector.efficiency = 2"),
+    # its square, the pair detection efficiency, underflows to 0
+    "key-efficiency-square-underflows": _rejects("simulate tomography",
+                                                 "detector.efficiency = 1e-200"),
     "key-inf-jitter": _rejects("simulate hom", "detector.jitter_sigma_ps = inf"),
     "key-nan-jitter": _rejects("simulate hom", "detector.jitter_sigma_ps = nan"),
     "key-nan-dead-time": _rejects("simulate autocorr", "detector.dead_time_ps = nan"),
@@ -385,6 +388,31 @@ def test_invalid_seed_flag_names_the_rule(capsys, seed):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"--seed: {seed!r} must be an unsigned 64-bit integer" in err, err
+
+
+@pytest.mark.parametrize("runs", ["1", "0", "-3", "two"])
+def test_mc_runs_below_two_is_a_usage_error(tmp_path, capsys, runs):
+    # rejected while parsing: no fit runs and no output directory is made
+    path = write(tmp_path, "counts.csv", _counts())
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "tomo", path, "--mc-runs", runs, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert f"argument --mc-runs: {runs!r} must be an integer of at least 2" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "analyze g2 in.csv --delay 1", "simulate", "analyze tomo in.csv --seed -1",
+    "cavity purcell --heights"])
+def test_usage_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tbsim") and ": error: " in err and err.count("\n") == 1, err
 
 
 def test_analyze_lifetime_zero_jitter_is_ideal_detector(tmp_path):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from tbsim import tomo
 from tbsim.cli import main
-from tbsim.qcore import (BELL_PHI_PLUS, DensityMatrix, concurrence,
-                         fidelity_to_state, purity)
+from tbsim.qcore import (BELL_PHI_PLUS, DensityMatrix, check_density_matrices,
+                         concurrence, fidelity_to_state, purity)
 
 
 def random_physical_rho(seed: int, dim: int = 4) -> np.ndarray:
@@ -54,6 +54,54 @@ def test_density_matrix_json_roundtrip_bit_exact(tmp_path):
     obj = json.loads((tmp_path / "analyze_tomo.json").read_text())["rho"]
     again = DensityMatrix(np.array(obj["re"]) + 1j * np.array(obj["im"]))
     assert np.array_equal(tomo.mle_reconstruct(table).rho.matrix, again.matrix)
+
+
+def _bad_matrices():
+    """One matrix failing each check of `DensityMatrix`, by the check."""
+    nan = np.eye(4, dtype=complex) / 4.0
+    nan[2, 1] = np.nan
+    skew = np.eye(4, dtype=complex) / 4.0
+    skew[0, 1] = 0.2
+    neg = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
+    return {"non-finite": nan, "Hermitian": skew, "trace": np.eye(4, dtype=complex) / 3.0,
+            "positive": neg}
+
+
+@pytest.mark.parametrize("at", [0, 4, 6])
+@pytest.mark.parametrize("check", ["non-finite", "Hermitian", "trace", "positive"])
+def test_stacked_check_raises_the_density_matrix_message(check, at):
+    bad = _bad_matrices()[check]
+    with pytest.raises(ValueError) as single:
+        DensityMatrix(bad)
+    stack = np.stack([random_physical_rho(seed) for seed in range(7)])
+    check_density_matrices(stack)
+    stack[at] = bad
+    with pytest.raises(ValueError) as stacked:
+        check_density_matrices(stack)
+    assert check in str(single.value)
+    assert str(stacked.value) == str(single.value)
+
+
+_YY = np.kron([[0.0, -1.0j], [1.0j, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]])
+
+
+def concurrence_one_oracle(m):
+    """The single-matrix concurrence that the stacked one replaced."""
+    r = m @ _YY @ m.conj() @ _YY
+    lam = np.sqrt(np.abs(np.real(np.linalg.eigvals(r))))
+    lam.sort()
+    return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
+
+
+def test_stacked_metrics_equal_the_single_matrix_ones_bit_for_bit():
+    stack = np.stack([random_physical_rho(seed) for seed in range(60)]
+                     + [werner_state(p) for p in (0.0, 1.0 / 3.0, 0.5, 1.0)]).astype(complex)
+    psi = BELL_PHI_PLUS.astype(complex)
+    cs, fs = concurrence(stack), fidelity_to_state(stack, BELL_PHI_PLUS)
+    assert cs.shape == fs.shape == (64,)
+    assert cs.tolist() == [concurrence_one_oracle(m) for m in stack]
+    assert fs.tolist() == [float((psi.conj() @ m @ psi).real) for m in stack]
+    assert type(concurrence(stack[0])) is float and type(fidelity_to_state(stack[0], psi)) is float
 
 
 # --- metrics ------------------------------------------------------------------

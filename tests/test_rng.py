@@ -123,6 +123,29 @@ def test_poisson_mean_whose_draw_may_not_fit_int64_is_a_value_error():
     assert abs(int(r.poisson(np.array([below]))[0]) - below) < 20 * math.sqrt(below)
 
 
+def ptrs_one_oracle(mu: float, us: np.ndarray) -> int:
+    """Hormann's PTRS for mu >= 10, one draw at a time in Python floats: the
+    scalar loop that `rng._poisson_ptrs` vectorises."""
+    b = 0.931 + 2.53 * math.sqrt(mu)
+    a = -0.059 + 0.02483 * b
+    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    log_mu = math.log(mu)
+    for j in range(0, rng._POISSON_BUDGET - 1, 2):
+        u = us[j] - 0.5
+        v = us[j + 1]
+        us_ = 0.5 - abs(u)
+        k = math.floor((2.0 * a / us_ + b) * u + mu + 0.43)
+        if us_ >= 0.07 and v <= v_r:
+            return int(k)
+        if k < 0 or (us_ < 0.013 and v > us_):
+            continue
+        lhs = math.log(v * inv_alpha / (a / (us_ * us_) + b))
+        if lhs <= k * log_mu - mu - math.lgamma(k + 1.0):
+            return int(k)
+    raise RuntimeError("poisson sampling exhausted its draw budget")
+
+
 def poisson_one_oracle(mu, key):
     """One Poisson draw at a time from the 64 uniforms of its private key."""
     if mu <= 0.0:
@@ -136,7 +159,7 @@ def poisson_one_oracle(mu, key):
             if prod < limit:
                 return k
         raise RuntimeError("poisson sampling exhausted its draw budget")
-    return rng._poisson_ptrs(mu, us)
+    return ptrs_one_oracle(mu, us)
 
 
 _MEANS = st.one_of(

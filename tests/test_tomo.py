@@ -1,10 +1,12 @@
 """Tomography: linear-inversion exactness, MLE physicality, equivariance,
 and the Born-level sampling pipeline."""
 
+import math
+
 import numpy as np
 import pytest
 
-from tbsim import tomo
+from tbsim import rng, tomo
 from tbsim.optics import TimebinStateModel, ideal_timebin_density
 
 from test_qcore import random_physical_rho
@@ -244,3 +246,124 @@ def test_observed_rho_does_not_depend_on_mc_runs():
     many = tomo.reconstruct(table, mc_runs=50, seed=3)
     assert np.array_equal(few.rho.matrix, many.rho.matrix)
     assert (few.mc_converged, many.mc_converged) == (2, 50)
+
+
+# --- the one-draw resamples and the compacted APG loop against their oracles --------
+
+# 0, Knuth (below 10), PTRS near 10 (where many candidates reach the full test),
+# PTRS at about 1e2 and 1e6, and about 1e7
+_RESAMPLED_COUNTS = [0, 1, 4, 9, 10, 11, 12, 13, 14, 37, 96, 250, 1000, 950_000,
+                     1_000_003, 10_000_019]
+
+
+@pytest.mark.parametrize("runs", [2, 11, 50])
+def test_resample_equals_the_per_stream_draws(monkeypatch, runs):
+    full_tests = []
+    lgamma = math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda x: full_tests.append(x) or lgamma(x))
+    table = tomo.CountsTable(counts=_RESAMPLED_COUNTS)
+    means = table.counts.astype(float)
+    for seed in (0, 7, 2**64 - 1):
+        want = np.stack([rng.CounterRng(seed, rng.Stream.TOMO_RESAMPLE + k).poisson(means)
+                         for k in range(runs)])
+        got = tomo._resample(table, runs, seed)
+        assert got.dtype == np.int64 and np.array_equal(got, want), seed
+    assert full_tests  # some draws were decided by the full PTRS test
+
+
+def minimize_oracle(n, h0):
+    """`tomo.minimize` before its state was compacted: every iteration gathers
+    and scatters the state of the active fits. Verbatim but for the count of
+    momentum points outside the domain that it also returns."""
+    _nll_and_gradient, _clip_psd, _inner = tomo._nll_and_gradient, tomo._clip_psd, tomo._inner
+    m = len(n)
+    tol = tomo._MLE_STALL_TOL * n.sum(axis=1)
+    step = n.sum(axis=1) / 16.0
+    x = h0.reshape(m, 16).astype(complex)
+    fx, gx = _nll_and_gradient(x, n)
+    nfev = m
+    x_prev = x.copy()
+    theta = np.ones(m)
+    stalls = np.zeros(m, dtype=int)
+    nit = np.zeros(m, dtype=int)
+    active = np.arange(m)
+    outside = 0
+    while active.size:
+        na, xa = n[active], x[active]
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta[active] ** 2))
+        beta = (theta[active] - 1.0) / theta_next
+        y, fy, gy = xa.copy(), fx[active], gx[active]
+        moved = np.flatnonzero(beta > 0)
+        if moved.size:
+            ym = xa[moved] + beta[moved, None] * (xa[moved] - x_prev[active[moved]])
+            fm, gm = _nll_and_gradient(ym, na[moved])
+            nfev += moved.size
+            ok = np.isfinite(fm)  # else take a plain gradient step from x
+            outside += int((~ok).sum())
+            y[moved[ok]], fy[moved[ok]], gy[moved[ok]] = ym[ok], fm[ok], gm[ok]
+
+        t = step[active]
+        z, fz, gz = np.empty_like(y), np.empty_like(fy), np.empty_like(gy)
+        todo = np.arange(len(active))
+        for _ in range(tomo._MLE_MAX_HALVINGS):
+            zt = _clip_psd((y[todo] - t[todo, None] * gy[todo]).reshape(-1, 4, 4)).reshape(-1, 16)
+            ft, gt = _nll_and_gradient(zt, na[todo])
+            nfev += todo.size
+            d = zt - y[todo]
+            bound = fy[todo] + _inner(gy[todo], d) + _inner(d, d) / (2.0 * t[todo])
+            z[todo], fz[todo], gz[todo] = zt, ft, gt
+            todo = todo[~(ft <= bound)]
+            if not todo.size:
+                break
+            t[todo] *= 0.5
+        step[active] = 1.25 * t
+
+        rose = ~(fz <= fx[active])
+        decrease = np.where(rose, 0.0, fx[active] - fz)
+        x_prev[active] = xa
+        took = active[~rose]
+        x[took], fx[took], gx[took] = z[~rose], fz[~rose], gz[~rose]
+        theta[active] = np.where(rose, 1.0, theta_next)
+        stalls[active] = np.where(decrease <= tol[active], stalls[active] + 1, 0)
+        nit[active] += 1
+        active = active[(stalls[active] < tomo._MLE_STALL_ITERS)
+                        & (nit[active] < tomo._MLE_MAX_ITER)]
+    return tomo.ApgResult(x=x.reshape(m, 4, 4), nfev=int(nfev),
+                          converged=stalls >= tomo._MLE_STALL_ITERS, nit=nit), outside
+
+
+def _start(counts):
+    """`tomo._fit`'s starting points: the scaled projected linear inversions."""
+    n = counts.astype(float)
+    rho0 = tomo.project_to_physical(tomo._linear_inversion(n))
+    return n, (n.sum(axis=1) / np.sum(tomo.probabilities(rho0), axis=1))[:, None, None] * rho0
+
+
+def _minimize_cases():
+    """(name, counts) of batches of one and of 50 resamples at about 1e2 and 1e6
+    counts per setting, a table with empty settings, and a nearly pure state
+    whose momentum points leave the domain."""
+    for v, phi, cycles, eff, seed in ((0.7, 0.0, 50_000, 0.00625, 504),
+                                      (0.8, 0.75 * np.pi, 4_000_000, 1.0, 507),
+                                      (0.99, 0.0, 50_000, 0.00625, 0)):
+        table = tomo.simulate_counts(ideal_timebin_density(TimebinStateModel(v, phi)),
+                                     cycles, eff, seed)
+        yield f"V={v} {cycles}", table.counts[None]
+        yield f"V={v} {cycles} resamples", tomo._resample(table, 50, seed)
+    counts = tomo.simulate_counts(random_physical_rho(7), 20_000, 0.05, 13).counts
+    counts[[1, 6, 9, 11, 14]] = 0
+    yield "empty settings", counts[None]
+    yield "empty settings resamples", tomo._resample(tomo.CountsTable(counts=counts), 50, 3)
+
+
+def test_minimize_equals_the_uncompacted_loop():
+    outside = {}
+    for name, counts in _minimize_cases():
+        n, h0 = _start(counts)
+        want, outside[name] = minimize_oracle(n, h0)
+        got = tomo.minimize(n, h0)
+        assert got.x.tobytes() == want.x.tobytes(), name
+        assert got.nfev == want.nfev, name
+        assert np.array_equal(got.nit, want.nit), name
+        assert np.array_equal(got.converged, want.converged), name
+    assert outside["V=0.99 50000"] and outside["V=0.99 50000 resamples"]
