@@ -12,16 +12,11 @@ or an output that cannot be written included), 4 non-convergence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
-import json
+import math
 import os
 import sys
-import tempfile
 import time
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import __version__
 from .table import format_table, read_table
@@ -29,8 +24,9 @@ from .table import format_table, read_table
 if TYPE_CHECKING:
     from .config import RunConfig
 
-# Each handler imports the tbsim modules it runs, so that a command loads
-# only its own path: the cavity commands load `cavity` alone.
+# Each handler imports the modules it runs, numpy and the tbsim modules
+# alike, so that a command loads only its own path: the cavity commands load
+# `cavity` alone, and `--version`, `-h` and a usage error load no numpy.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,9 +43,11 @@ class ConvergenceError(RuntimeError):
 
 
 def _write_atomic(path: str, data: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tbsim-{os.getpid()}-{os.urandom(8).hex()}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tbsim-", suffix=".tmp")
+        # mode 0666 less the umask, as open() would give; O_EXCL never reuses a file
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(data)
@@ -63,6 +61,7 @@ def _write_atomic(path: str, data: str) -> None:
 
 
 def _sha256_file(path: str) -> str:
+    import hashlib
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -72,6 +71,7 @@ def _sha256_file(path: str) -> str:
 
 def _json_dumps(obj) -> str:
     """Strict JSON: a NaN or an infinity is a data error, never `NaN` or `Infinity` in a file."""
+    import json
     try:
         return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
@@ -160,7 +160,7 @@ def _check_resolution(key: str, cycles: int, period: float, bin_width: float) ->
         end = cycles * period
     except OverflowError:  # a count beyond the float range
         end = float("inf")
-    if not np.spacing(end) <= bin_width:
+    if not math.ulp(end) <= bin_width:
         raise ConfigError(key, f"the run would end at {end:.3g} ps, where float64 timestamps "
                           f"lie more than the {bin_width:g} ps histogram bin apart")
 
@@ -178,6 +178,8 @@ def _simulate_hom(cfg: RunConfig, run: _Run) -> None:
 
 
 def _simulate_autocorr(cfg: RunConfig, run: _Run) -> None:
+    import dataclasses
+
     from . import optics
     from .cascade import two_pair_prob_for_g2
     from .config import ConfigError
@@ -202,6 +204,8 @@ def _simulate_lifetime(cfg: RunConfig, run: _Run) -> None:
     Count i draws its delay at counter i of stream `LIFETIME` and its jitter
     at counter n + i, the counters one whole-run `CounterRng` would give them.
     """
+    import numpy as np
+
     from . import optics, rng
     s = rng.stream_seed(cfg.seed, rng.Stream.LIFETIME)
     n = cfg.lifetime_counts
@@ -231,6 +235,8 @@ _RABI_COLUMNS = ("sqrt_power", "counts")
 
 
 def _simulate_rabi(cfg: RunConfig, run: _Run) -> None:
+    import numpy as np
+
     from .cascade import two_photon_rabi_population
     from .config import ConfigError
     from .rng import CounterRng, Stream
@@ -282,7 +288,7 @@ def _read_histogram(path: str):
     from .optics import CoincidenceHistogram
     hist = CoincidenceHistogram.from_csv(_read_text(path))
     total = sum(hist.counts.tolist())
-    if total > np.iinfo(np.int64).max:
+    if total > 2**63 - 1:
         raise DataError(f"histogram counts total {total}, beyond the 64-bit range")
     return hist
 
@@ -333,7 +339,7 @@ def _analyze_hom(args, run: _Run) -> dict:
 
 def _analyze_lifetime(args, run: _Run) -> dict:
     from . import fitting, optics
-    if not (np.isfinite(args.jitter_fwhm) and args.jitter_fwhm >= 0):  # 0: ideal detector
+    if not (math.isfinite(args.jitter_fwhm) and args.jitter_fwhm >= 0):  # 0: ideal detector
         raise DataError(f"--jitter-fwhm {args.jitter_fwhm} ps must be a non-negative "
                         "finite number")
     hist = _read_histogram(args.input)
@@ -346,7 +352,7 @@ def _analyze_lifetime(args, run: _Run) -> dict:
 
 def _analyze_rabi(args, run: _Run) -> dict:
     from . import fitting
-    if not (np.isfinite(args.rate_normalization) and args.rate_normalization > 0):
+    if not (math.isfinite(args.rate_normalization) and args.rate_normalization > 0):
         raise DataError(f"--rate-normalization {args.rate_normalization} must be a "
                         "positive finite number")
     _, (x, y) = read_table(_read_text(args.input), _RABI_COLUMNS, "scan", (float, int))
@@ -362,6 +368,8 @@ def _analyze_rabi(args, run: _Run) -> dict:
 
 
 def _analyze_budget(args, run: _Run) -> dict:
+    import dataclasses
+
     from . import cavity
     from .config import parse_config
     mapping = parse_config(_read_text(args.input))
@@ -412,6 +420,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cavity(args) -> int:
+    import numpy as np
+
     from . import cavity
     if args.config:
         cfg = _read_config(args.config)

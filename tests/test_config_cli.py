@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tbsim import cavity
-from tbsim.cli import build_parser, main
+from tbsim.cli import _check_resolution, build_parser, main
 from tbsim.config import ConfigError, RunConfig, config_hash, parse_config
 
 MINI_CFG = """\
@@ -637,42 +637,101 @@ import runpy, sys
 try:
     runpy.run_module("tbsim.cli", run_name="__main__")
 except SystemExit as exc:
-    assert not exc.code, exc.code
+    code = exc.code or 0
+print(code, "numpy" in sys.modules)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "tbsim"))
 """
 
 # the modules a config file loads: RunConfig builds every model
 _CONFIG_MODULES = ("cascade", "cavity", "config", "kernels", "optics", "qcore", "rng")
+_OPTICS_MODULES = ("cascade", "fitting", "kernels", "optics", "qcore", "rng")
+# command: (exit code, tbsim modules besides tbsim and tbsim.table); the
+# dispatch path (--version, -h, a usage error) runs no handler
 _COMMAND_MODULES = {
-    "--version": (),
-    "cavity spectrum --out {out}": ("cavity",),
-    "cavity purcell --out {out}": ("cavity",),
-    "cavity efficiency --out {out}": ("cavity",),
-    "simulate rabi --config {cfg} --out {out}": _CONFIG_MODULES,
-    "simulate tomography --config {cfg} --out {out}": _CONFIG_MODULES + ("tomo",),
-    "analyze tomo {out}/tomography_counts.csv --out {out}": ("qcore", "rng", "tomo"),
-    "analyze rabi {out}/rabi_scan.csv --out {out}": ("fitting",),
-    "analyze g2 {out}/autocorr_hist.csv --out {out}": (
-        "cascade", "fitting", "kernels", "optics", "qcore", "rng"),
-    "analyze budget {budget} --out {out}": ("cavity", "config", "rng"),
+    "--version": (0, ()),
+    "-h": (0, ()),
+    "analyze g2 --out {out}": (2, ()),
+    "cavity spectrum --out {out}": (0, ("cavity",)),
+    "cavity purcell --out {out}": (0, ("cavity",)),
+    "cavity efficiency --out {out}": (0, ("cavity",)),
+    "simulate rabi --config {cfg} --out {out}": (0, _CONFIG_MODULES),
+    "simulate tomography --config {cfg} --out {out}": (0, _CONFIG_MODULES + ("tomo",)),
+    "simulate hom --config {cfg} --out {out}": (0, _CONFIG_MODULES),
+    "simulate autocorr --config {cfg} --out {out}": (0, _CONFIG_MODULES),
+    "simulate lifetime --config {cfg} --out {out}": (0, _CONFIG_MODULES),
+    "analyze tomo {out}/tomography_counts.csv --out {out}": (0, ("qcore", "rng", "tomo")),
+    "analyze rabi {out}/rabi_scan.csv --out {out}": (0, ("fitting",)),
+    "analyze g2 {out}/autocorr_hist.csv --out {out}": (0, _OPTICS_MODULES),
+    "analyze hom {out}/hom_hist.csv --out {out}": (0, _OPTICS_MODULES),
+    "analyze lifetime {out}/lifetime_hist.csv --out {out}": (0, _OPTICS_MODULES),
+    "analyze budget {budget} --out {out}": (0, ("cavity", "config", "rng")),
 }
 
 
 def test_each_command_imports_only_its_modules(tmp_path):
     # a module a command does not run costs it the import, and without a
-    # bytecode cache the compile, on every run
+    # bytecode cache the compile, on every run; the dispatch path runs no
+    # handler, so it loads no numpy, whose import would be most of its cold start
     root = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
-    cfg = write(tmp_path, "run.cfg", MINI_CFG + "autocorr.cycles = 30000\n")
+    cfg = write(tmp_path, "run.cfg", MINI_CFG + "hom.cycles = 40000\n"
+                "autocorr.cycles = 30000\nlifetime.counts = 20000\n")
     out = str(tmp_path / "out")
-    assert main(["simulate", "autocorr", "--config", cfg, "--out", out]) == 0
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
-    for command, modules in _COMMAND_MODULES.items():
+    for command, (code, modules) in _COMMAND_MODULES.items():
         argv = command.format(cfg=cfg, out=out, budget=os.path.join(root, "budget.cfg"))
         proc = subprocess.run([sys.executable, "-c", _MODULES_SCRIPT, *argv.split()],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, (command, proc.stderr)
         expected = sorted(["tbsim", "tbsim.table", *(f"tbsim.{m}" for m in modules)])
-        assert proc.stdout.splitlines()[-1] == str(expected), command
+        assert proc.stdout.splitlines()[-2:] == [f"{code} {bool(modules)}", str(expected)], \
+            command
+
+
+_UMASK_SCRIPT = """
+import os, sys
+from tbsim.cli import main
+
+os.umask(int(sys.argv[1], 8))
+cfg, out = sys.argv[2:]
+assert main(["simulate", "rabi", "--config", cfg, "--out", out + "/sim"]) == 0
+assert main(["analyze", "rabi", out + "/sim/rabi_scan.csv", "--out", out + "/ana"]) == 0
+assert main(["cavity", "efficiency", "--out", out + "/cav"]) == 0
+"""
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_outputs_follow_the_umask(tmp_path, umask, mode):
+    # outputs get 0666 less the umask, as open() gives; a 0600 temp file
+    # (tempfile.mkstemp) would keep 0600 after the rename. The umask is set in
+    # the child, so this process keeps its own
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+    cfg = write(tmp_path, "run.cfg", MINI_CFG)
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    proc = subprocess.run([sys.executable, "-c", _UMASK_SCRIPT, oct(umask), cfg, str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    modes = {f"{d.name}/{f.name}": f.stat().st_mode & 0o777
+             for d in out.iterdir() for f in d.iterdir()}
+    assert sorted(modes) == sorted([
+        "sim/rabi_scan.csv", "sim/manifest.json", "ana/analyze_rabi.json",
+        "ana/manifest.json", "cav/efficiency.json", "cav/manifest.json"])
+    assert set(modes.values()) == {mode}, {k: oct(v) for k, v in modes.items()}
+
+
+def test_check_resolution_at_the_hom_boundary():
+    # hom: 50 ps bins, one cycle per 2 x 12500 ps; from a run end of 2**58 ps
+    # on, float64 timestamps lie 64 ps apart, and below it 32 ps
+    period, bin_width = 2 * 12500.0, 50.0
+    below = 2**58 // int(period)
+    assert below * period < 2.0**58 <= (below + 1) * period
+    for end in (0.0, 5e-324, 1.0, below * period, 2.0**58, 2.5e12, 1e20, 1e300):
+        assert math.ulp(end) == np.spacing(end), end
+    _check_resolution("hom.cycles", below, period, bin_width)
+    for cycles, p in ((below + 1, period), (10**400, period), (1, math.inf)):
+        with pytest.raises(ConfigError, match="hom.cycles"):
+            _check_resolution("hom.cycles", cycles, p, bin_width)
 
 
 _TRACER_SCRIPT = """
