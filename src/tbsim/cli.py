@@ -18,7 +18,7 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-from . import __version__
+from . import __version__, parse_seed
 from .table import format_table, read_table
 
 if TYPE_CHECKING:
@@ -459,8 +459,7 @@ def cmd_cavity(args) -> int:
 
 
 def _seed(text: str) -> int:
-    """`--seed`: `rng.parse_seed`, with its reason in the usage error."""
-    from .rng import parse_seed
+    """`--seed`: `parse_seed`, with its reason in the usage error."""
     try:
         return parse_seed(text)
     except ValueError as exc:

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from . import parse_seed
 from .cavity import DefectModel, LayerStack, make_cavity_stack
-from .rng import parse_seed
 
 if TYPE_CHECKING:
     from .cascade import EmitterParams

@@ -104,17 +104,6 @@ class Stream(enum.IntEnum):
     DETECT_DARK = 102, _DETECTED
 
 
-def parse_seed(text: str) -> int:
-    """A run seed: an unsigned 64-bit integer, in any base `int(text, 0)` reads."""
-    try:
-        seed = int(text, 0)
-    except ValueError:  # not an integer at all breaks the same rule
-        seed = -1
-    if not 0 <= seed < 2**64:
-        raise ValueError("must be an unsigned 64-bit integer")
-    return seed
-
-
 def _mix(z: np.ndarray) -> np.ndarray:
     """SplitMix64's finaliser, in place on a fresh state array."""
     z ^= z >> np.uint64(30)

@@ -271,6 +271,10 @@ _DATA_FILES = {
 _ANALYZED = {"tomo": "tomography", "hom": "hom", "g2": "autocorr",
              "lifetime": "lifetime", "rabi": "rabi"}
 
+# the files each cavity command writes, besides its manifest
+_CAVITY_FILES = {"spectrum": ["spectrum.csv", "resonance.json"], "purcell": ["purcell.csv"],
+                 "efficiency": ["efficiency.json"]}
+
 
 def test_criterion_9_determinism(tmp_path):
     cfg = tmp_path / "run.cfg"
@@ -286,14 +290,19 @@ def test_criterion_9_determinism(tmp_path):
             paths.append(out / fname)
         same = paths[0].read_bytes() == paths[1].read_bytes()
         checks.append((same, f"{what} rerun byte-identical"))
-    inputs = {what: tmp_path / f"{sim}_a" / _DATA_FILES[sim] for what, sim in _ANALYZED.items()}
-    inputs["budget"] = os.path.join(os.path.dirname(__file__), "..", "budget.cfg")
-    for what, path in inputs.items():
+    # command: (its argv before --out, the files compared)
+    runs = {f"analyze {what}": (["analyze", what, str(tmp_path / f"{sim}_a" / _DATA_FILES[sim])],
+                                [f"analyze_{what}.json"]) for what, sim in _ANALYZED.items()}
+    runs["analyze budget"] = (["analyze", "budget", os.path.join(
+        os.path.dirname(__file__), "..", "budget.cfg")], ["analyze_budget.json"])
+    runs.update({f"cavity {what}": (["cavity", what], names)
+                 for what, names in _CAVITY_FILES.items()})
+    for command, (argv, names) in runs.items():
         outputs = []
         for rep in ("a", "b"):
-            out = tmp_path / f"analyze_{what}_{rep}"
-            code = cli_main(["analyze", what, str(path), "--out", str(out)])
-            assert code == 0, (what, code)
-            outputs.append((out / f"analyze_{what}.json").read_bytes())
-        checks.append((outputs[0] == outputs[1], f"analyze {what} rerun byte-identical"))
+            out = tmp_path / f"{command.replace(' ', '_')}_{rep}"
+            code = cli_main(argv + ["--out", str(out)])
+            assert code == 0, (command, code)
+            outputs.append([(out / name).read_bytes() for name in names])
+        checks.append((outputs[0] == outputs[1], f"{command} rerun byte-identical"))
     report(9, "determinism", checks)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from tbsim import cavity
+from tbsim import cavity, tomo
 from tbsim.cli import _check_resolution, build_parser, main
 from tbsim.config import ConfigError, RunConfig, config_hash, parse_config
 
@@ -302,6 +302,10 @@ _MALFORMED = {
     "hom-delay-overflows": ("analyze hom", _flat_hist(), ["--delay", "1e308"], 3, "delay"),
     "hom-delay-beyond-histogram": ("analyze hom", _flat_hist(), ["--delay", "150"], 3,
                                    "inside the histogram"),
+    # counts only at the last point: the best area calibration is the lower end of the
+    # fit's bracket, so no minimum was found inside it
+    "rabi-fit-at-bracket-edge": ("analyze rabi", "sqrt_power,counts\n1,0\n2,0\n3,1000\n",
+                                 [], 4, "did not converge"),
     # p_emit_pi = amplitude / 1e-320 overflows: strict JSON has no Infinity to write
     "rabi-result-not-finite": ("analyze rabi", _rabi_scan(),
                                ["--rate-normalization", "1e-320"], 3, "not a finite number"),
@@ -426,13 +430,15 @@ def test_analyze_lifetime_zero_jitter_is_ideal_detector(tmp_path):
 @pytest.mark.parametrize("argv", [
     "simulate rabi --config {cfg}", "cavity spectrum", "analyze budget {budget}"])
 def test_out_naming_a_file_exits_3(tmp_path, capsys, argv):
-    # a permission-denied directory would take the same path, but root can write anywhere
+    # a permission-denied directory would take the same path, but root can write anywhere;
+    # a name over the 255-byte limit of a path component fails later, where it is made
     budget = os.path.join(os.path.dirname(__file__), "..", "budget.cfg")
     cfg = write(tmp_path, "run.cfg", MINI_CFG)
     afile = write(tmp_path, "afile", "")
-    assert main(argv.format(cfg=cfg, budget=budget).split() + ["--out", afile]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: cannot write {afile}: ") and err.count("\n") == 1, err
+    for out in (afile, str(tmp_path / ("n" * 256))):
+        assert main(argv.format(cfg=cfg, budget=budget).split() + ["--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot write {out}: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("out", ["afile", "afile/sub"])
@@ -461,7 +467,7 @@ def test_missing_input_exits_3(tmp_path):
                  "--out", str(tmp_path / "o")]) == 3
 
 
-def test_analyze_tomo_closure(tmp_path):
+def test_analyze_tomo_closure(tmp_path, capsys, monkeypatch):
     cfg = write(tmp_path, "run.cfg", MINI_CFG)
     out = str(tmp_path / "sim")
     main(["simulate", "tomography", "--config", cfg, "--out", out])
@@ -473,6 +479,16 @@ def test_analyze_tomo_closure(tmp_path):
     assert res["fidelity"] == pytest.approx(0.85, abs=0.04)
     assert res["mc_converged"] == 10
     assert res["inputs"][0]["sha256"]
+    # no counts table tried (374 random ones, counts up to 1e16) needed more than 109 of
+    # the 10 000 iterations allowed: only a lowered cap reaches the non-convergence exit
+    monkeypatch.setattr(tomo, "_MLE_MAX_ITER", 1)
+    capsys.readouterr()
+    ana = tmp_path / "ana_capped"
+    assert main(["analyze", "tomo", os.path.join(out, "tomography_counts.csv"),
+                 "--out", str(ana), "--mc-runs", "10"]) == 4
+    err = capsys.readouterr().err
+    assert err == "convergence error: tomographic reconstruction did not converge\n", err
+    assert not ana.exists()
 
 
 def test_analyze_tomo_counts_whose_int64_sum_wraps(tmp_path):
@@ -651,6 +667,7 @@ _COMMAND_MODULES = {
     "--version": (0, ()),
     "-h": (0, ()),
     "analyze g2 --out {out}": (2, ()),
+    "analyze tomo {out}/x.csv --seed -1": (2, ()),
     "cavity spectrum --out {out}": (0, ("cavity",)),
     "cavity purcell --out {out}": (0, ("cavity",)),
     "cavity efficiency --out {out}": (0, ("cavity",)),
@@ -664,7 +681,7 @@ _COMMAND_MODULES = {
     "analyze g2 {out}/autocorr_hist.csv --out {out}": (0, _OPTICS_MODULES),
     "analyze hom {out}/hom_hist.csv --out {out}": (0, _OPTICS_MODULES),
     "analyze lifetime {out}/lifetime_hist.csv --out {out}": (0, _OPTICS_MODULES),
-    "analyze budget {budget} --out {out}": (0, ("cavity", "config", "rng")),
+    "analyze budget {budget} --out {out}": (0, ("cavity", "config")),
 }
 
 

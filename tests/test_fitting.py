@@ -149,6 +149,21 @@ def test_lifetime_fit_converges_at_20k_counts():
         assert abs(fit.value("tau") - 300.0) < 3.0 * fit.sigma("tau"), seed
 
 
+def test_lifetime_tail_cross_check_sigma_is_calibrated():
+    # the tail estimate's quoted sigma, which sets the cross-check's tolerance: over
+    # N = 80 seeds, z = (tau_tail - tau) / tail_err has a sample sd within [0.70, 1.32].
+    # For normal z, (N - 1) sd^2 ~ chi2(79), so a correct sigma fails with p = 8.8e-5
+    # (3.9e-5 low, 4.9e-5 high); z's kurtosis, 2.95 over 400 seeds, narrows that spread.
+    # A sigma off by a factor of 2 reads sd 0.5 or 2. 16 ps bins keep the fits fast
+    sigma = 16.0 / 2.3548200450309493
+    z = []
+    for seed in range(1, 81):
+        fit = fitting.fit_lifetime(
+            synthetic_lifetime_hist(300.0, sigma, 20000, seed, bin_width=16.0), sigma)
+        z.append((fit.value("tau_tail") - 300.0) / fit.sigma("tau_tail"))
+    assert 0.70 <= np.std(z, ddof=1) <= 1.32, np.std(z, ddof=1)
+
+
 def test_lifetime_fit_rejects_biexponential_decay():
     # 30% of the counts decay at 1500 ps: one exponential fits the whole histogram at a
     # tau that the tail, past peak + 3 FWHM, does not share
