@@ -100,10 +100,7 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 def _linear_inversion(freqs: np.ndarray) -> np.ndarray:
     """Linear inversion of counts or frequencies, shape (..., 16)."""
-    try:
-        vec = np.linalg.solve(_DESIGN, freqs.T.astype(complex)).T
-    except np.linalg.LinAlgError as exc:  # cannot occur for the canonical settings
-        raise RuntimeError("singular tomography design matrix") from exc
+    vec = np.linalg.solve(_DESIGN, freqs.T.astype(complex)).T
     m = _hermitian_part(vec.reshape(freqs.shape[:-1] + (4, 4)))
     tr = np.trace(m, axis1=-2, axis2=-1).real
     if np.any(tr <= 0):
@@ -225,20 +222,13 @@ def minimize(n: np.ndarray, h0: np.ndarray) -> ApgResult:
         beta = (theta - 1.0) / theta_next
         y, fy, gy = x, fx, gx
         moved = np.flatnonzero(beta > 0)
-        if moved.size == rows.size:  # every fit: no gather
-            ym = x + beta[:, None] * (x - x_prev)
-            fm, gm = _nll_and_gradient(ym, n)
-        elif moved.size:
+        if moved.size:
             ym = x[moved] + beta[moved, None] * (x[moved] - x_prev[moved])
             fm, gm = _nll_and_gradient(ym, n[moved])
-        if moved.size:
             nfev += moved.size
             ok = np.isfinite(fm)  # else take a plain gradient step from x
-            if moved.size == rows.size and ok.all():
-                y, fy, gy = ym, fm, gm
-            else:
-                y, fy, gy = x.copy(), fx.copy(), gx.copy()
-                y[moved[ok]], fy[moved[ok]], gy[moved[ok]] = ym[ok], fm[ok], gm[ok]
+            y, fy, gy = x.copy(), fx.copy(), gx.copy()
+            y[moved[ok]], fy[moved[ok]], gy[moved[ok]] = ym[ok], fm[ok], gm[ok]
 
         # the first try takes every fit, the halvings those that backtrack
         t = step.copy()
@@ -263,8 +253,7 @@ def minimize(n: np.ndarray, h0: np.ndarray) -> ApgResult:
 
         rose = ~(fz <= fx)
         decrease = np.where(rose, 0.0, fx - fz)
-        if rose.any():
-            z[rose], fz[rose], gz[rose] = x[rose], fx[rose], gx[rose]
+        z[rose], fz[rose], gz[rose] = x[rose], fx[rose], gx[rose]
         x_prev, x, fx, gx = x, z, fz, gz
         theta = np.where(rose, 1.0, theta_next)
         stalls = np.where(decrease <= tol, stalls + 1, 0)

@@ -23,15 +23,6 @@ from tbsim.cli import main
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
-# baseline.cfg with short runs, so that every analysis takes milliseconds
-_SHORT_RUNS = {
-    "tomography.cycles_per_setting": "2000",
-    "hom.cycles": "20000",
-    "autocorr.cycles": "20000",
-    "lifetime.counts": "20000",
-    "rabi.cycles_per_point": "1000",
-}
-
 # analyze what -> (simulate what, file it writes, extra analyze flags)
 _ANALYSES = {
     "tomo": ("tomography", "tomography_counts.csv", ["--mc-runs", "3"]),
@@ -48,18 +39,12 @@ _BAD_FIELDS = ("nan", "-nan", "inf", "-inf", "1e400", "-1e400", str(2**64), str(
 
 
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
+def inputs(tmp_path_factory, short_cfg):
     """{analyze what: (text of its input file, extra flags)}."""
     tmp = tmp_path_factory.mktemp("simulated")
-    with open(os.path.join(ROOT, "baseline.cfg"), encoding="utf-8") as fh:
-        cfg = fh.read()
-    for key, value in _SHORT_RUNS.items():
-        cfg = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", cfg, flags=re.M)
-    (tmp / "short.cfg").write_text(cfg)
     out = {}
     for what, (sim, name, flags) in _ANALYSES.items():
-        assert main(["simulate", sim, "--config", str(tmp / "short.cfg"),
-                     "--out", str(tmp)]) == 0
+        assert main(["simulate", sim, "--config", short_cfg, "--out", str(tmp)]) == 0
         out[what] = ((tmp / name).read_text(), flags)
         assert main(["analyze", what, str(tmp / name), "--out", str(tmp), *flags]) == 0
     with open(os.path.join(ROOT, "budget.cfg"), encoding="utf-8") as fh:

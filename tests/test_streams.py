@@ -7,25 +7,12 @@ streams it draws share an id, and that the streams it draws are the ones
 the table lists for it (`drawn_by`).
 """
 
-import os
-import re
-
 import pytest
 
 from tbsim import optics, rng, tomo
 from tbsim.cascade import EmitterParams
 from tbsim.cli import main
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-
-# baseline.cfg with short runs
-_SHORT_RUNS = {
-    "tomography.cycles_per_setting": "2000",
-    "hom.cycles": "20000",
-    "autocorr.cycles": "20000",
-    "lifetime.counts": "2000",
-    "rabi.cycles_per_point": "1000",
-}
 _SIMULATE = ("tomography", "hom", "autocorr", "lifetime", "rabi")
 _MODELS = ("simulate_timebin_run", "simulate_poissonian_source")
 _MC_RUNS = 50  # the Monte-Carlo resamples of the benchmark's tomography workload
@@ -70,17 +57,6 @@ def _declared(drawer):
 
 def _resamples(runs):
     return {f"TOMO_RESAMPLE+{k}" for k in range(runs)}
-
-
-@pytest.fixture(scope="module")
-def short_cfg(tmp_path_factory):
-    with open(os.path.join(ROOT, "baseline.cfg"), encoding="utf-8") as fh:
-        cfg = fh.read()
-    for key, value in _SHORT_RUNS.items():
-        cfg = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", cfg, flags=re.M)
-    path = tmp_path_factory.mktemp("cfg") / "short.cfg"
-    path.write_text(cfg)
-    return str(path)
 
 
 def test_every_drawer_in_the_table_is_checked_here():
