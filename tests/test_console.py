@@ -2,102 +2,41 @@
 
 The other tests call `main()` in process, so they never see the entry point
 that `pyproject.toml` declares, what a command imports from a cold start, nor
-the modes its files get. This test writes the script that pip would generate
-from that declaration and runs each command through it in a child, under
-`python -X importtime` and a umask of the command's own.
+the modes its files get. The session fixture `console_runs` (conftest.py) writes
+the script that pip would generate from that declaration and runs each command
+through it once; these tests and the module-set, SciPy and umask tests of
+test_config_cli.py check what those runs did.
 """
 
 import os
 import re
-import subprocess
-import sys
+
+import pytest
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
-def _pyproject(pattern):
-    """The groups of `pattern` matched on a line of pyproject.toml (a text
-    match: Python 3.10 has no `tomllib`)."""
-    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
-        return re.search(pattern, fh.read(), re.M).groups()
-
-
-def _entry_script(tmp_path):
-    """A pip-style `tbsim` script for the `tbsim = "module:function"` line of
-    pyproject.toml."""
-    module, func = _pyproject(r'^tbsim = "([\w.]+):(\w+)"$')
-    path = tmp_path / "tbsim"
-    path.write_text(f"import sys\nfrom {module} import {func}\nsys.exit({func}())\n")
-    return str(path)
-
-
-# the modules a config file loads: RunConfig builds every model
-_CONFIG_MODULES = ("cascade", "cavity", "config", "kernels", "optics", "qcore", "rng")
-_OPTICS_MODULES = ("cascade", "fitting", "kernels", "optics", "qcore", "rng")
-# command: (exit code, tbsim modules besides tbsim, tbsim.cli and tbsim.table,
-# files it writes besides manifest.json). {out} is the command's own output
-# directory and {prev} that of the command before it. The dispatch path
-# (--version, -h, a usage error) runs no handler, so it loads no numpy
-_COMMANDS = {
-    "--version": (0, (), ()),
-    "-h": (0, (), ()),
-    "analyze g2 --out {out}": (2, (), ()),
-    "analyze tomo {out}/x.csv --seed -1": (2, (), ()),
-    "cavity spectrum --out {out}": (0, ("cavity",), ("spectrum.csv", "resonance.json")),
-    "cavity purcell --out {out}": (0, ("cavity",), ("purcell.csv",)),
-    "cavity efficiency --out {out}": (0, ("cavity",), ("efficiency.json",)),
-    "simulate tomography --config {cfg} --out {out}": (
-        0, _CONFIG_MODULES + ("tomo",), ("tomography_counts.csv",)),
-    "analyze tomo {prev}/tomography_counts.csv --out {out}": (
-        0, ("qcore", "rng", "tomo"), ("analyze_tomo.json",)),
-    "simulate rabi --config {cfg} --out {out}": (0, _CONFIG_MODULES, ("rabi_scan.csv",)),
-    "analyze rabi {prev}/rabi_scan.csv --out {out}": (0, ("fitting",), ("analyze_rabi.json",)),
-    "simulate autocorr --config {cfg} --out {out}": (0, _CONFIG_MODULES, ("autocorr_hist.csv",)),
-    "analyze g2 {prev}/autocorr_hist.csv --out {out}": (0, _OPTICS_MODULES, ("analyze_g2.json",)),
-    "simulate hom --config {cfg} --out {out}": (0, _CONFIG_MODULES, ("hom_hist.csv",)),
-    "analyze hom {prev}/hom_hist.csv --out {out}": (0, _OPTICS_MODULES, ("analyze_hom.json",)),
-    "simulate lifetime --config {cfg} --out {out}": (0, _CONFIG_MODULES, ("lifetime_hist.csv",)),
-    "analyze lifetime {prev}/lifetime_hist.csv --out {out}": (
-        0, _OPTICS_MODULES, ("analyze_lifetime.json",)),
-    "analyze budget {budget} --out {out}": (0, ("cavity", "config"), ("analyze_budget.json",)),
-}
-
-
-def test_each_command_through_the_console_script(tmp_path, short_cfg):
-    # A module a command does not run costs it the import, and without a bytecode
-    # cache the compile, on every run: numpy was most of the dispatch path's cold
-    # start, and scipy.optimize and scipy.stats most of every command's. Outputs get
-    # 0666 less the umask, as open() gives; a 0600 temp file (tempfile.mkstemp) would
-    # keep 0600 after the rename. The umasks alternate: a 0660 creation mode shows
-    # only under 022, a mode forced after the write only under 077
-    script = _entry_script(tmp_path)
-    (version,) = _pyproject(r'^version = "(.+)"$')
-    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
-    for i, (command, (code, modules, files)) in enumerate(_COMMANDS.items()):
-        out, umask = tmp_path / str(i), (0o022, 0o077)[i % 2]
-        argv = command.format(out=out, prev=tmp_path / str(i - 1), cfg=short_cfg,
-                              budget=os.path.join(ROOT, "budget.cfg")).split()
-        proc = subprocess.run([sys.executable, "-X", "importtime", script, *argv], env=env,
-                              umask=umask, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == code, (command, proc.stderr)
-        if command == "--version":
-            assert proc.stdout == version + "\n", proc.stdout
-        lines = proc.stderr.splitlines()
-        # "import time: self [us] | cumulative | module", the module indented by depth
-        imported = [ln.rsplit("|", 1)[1].strip() for ln in lines if ln.startswith("import time:")]
-        packages = {m.split(".")[0] for m in imported}
-        assert sorted(m for m in imported if m.split(".")[0] == "tbsim") == sorted(
-            ["tbsim", "tbsim.cli", "tbsim.table", *(f"tbsim.{m}" for m in modules)]), command
-        assert ("numpy" in packages) == bool(modules), command
-        assert "scipy" not in packages, command
-        errors = [ln for ln in lines if not ln.startswith("import time:")]
-        if code:  # a usage error
-            assert len(errors) == 1 and errors[0].startswith("tbsim") \
-                and ": error: " in errors[0], (command, errors)
+def test_each_command_through_the_console_script(console_runs):
+    # a warning or a traceback prints lines of its own on stderr
+    for command, run in console_runs.items():
+        assert run.proc.returncode == run.code, (command, run.proc.stderr)
+        if run.code:  # a usage error
+            assert len(run.errors) == 1 and run.errors[0].startswith("tbsim") \
+                and ": error: " in run.errors[0], (command, run.errors)
         else:
-            assert not errors, (command, errors)
-        # a run that writes nothing leaves no output directory
-        expected = [*files, "manifest.json"] if files else []
-        modes = {f.name: oct(f.stat().st_mode & 0o777) for f in out.iterdir()} \
-            if out.exists() else {}
-        assert modes == dict.fromkeys(expected, oct(0o666 & ~umask)), command
+            assert not run.errors, (command, run.errors)
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("--version", 0), ("-h", 0), ("analyze tomo x.csv --seed -1", 2)])
+def test_console_script_dispatch_loads_no_numpy(console_runs, argv, code):
+    # the dispatch path runs no command handler, and numpy was most of its cold start
+    run = console_runs[argv]
+    assert run.proc.returncode == code, run.proc.stderr
+    assert "tbsim.cli" in run.imported
+    assert not [m for m in run.imported if m.split(".")[0] == "numpy"]
+    if argv == "--version":
+        # a text match, as the entry script's: Python 3.10 has no `tomllib`
+        with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+            (version,) = re.search(r'^version = "(.+)"$', fh.read(), re.M).groups()
+        assert run.proc.stdout == version + "\n", run.proc.stdout
