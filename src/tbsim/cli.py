@@ -18,7 +18,7 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-from . import __version__, parse_seed
+from . import __version__, parse_seed, sha256
 from .table import format_table, read_table
 
 if TYPE_CHECKING:
@@ -61,8 +61,7 @@ def _write_atomic(path: str, data: str) -> None:
 
 
 def _sha256_file(path: str) -> str:
-    import hashlib
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)

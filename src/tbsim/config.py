@@ -8,12 +8,11 @@ change it. Every key is declared once, in `_KEYS`; any other key is rejected.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from . import parse_seed
+from . import parse_seed, sha256
 from .cavity import DefectModel, LayerStack, make_cavity_stack
 
 if TYPE_CHECKING:
@@ -54,7 +53,7 @@ def parse_config(text: str) -> dict:
 def config_hash(mapping: dict) -> str:
     """SHA-256 over the sorted key=value lines; order-independent."""
     canon = "".join(f"{k}={mapping[k]}\n" for k in sorted(mapping))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _int(text: str) -> int:

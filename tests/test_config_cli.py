@@ -1,5 +1,6 @@
 """Config parsing/hashing and end-to-end CLI runs with exit-code contracts."""
 
+import hashlib
 import json
 import math
 import os
@@ -9,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+import tbsim
 from tbsim import cavity, rng, tomo
-from tbsim.cli import _check_resolution, build_parser, main
+from tbsim.cli import DataError, _check_resolution, _json_dumps, _sha256_file, build_parser, main
 from tbsim.config import ConfigError, RunConfig, config_hash, parse_config
 
 MINI_CFG = """\
@@ -48,6 +50,35 @@ def test_config_hash_stable_under_reordering():
     assert config_hash(a) == config_hash(b)
     c = parse_config("y = 2\nx = 3\n")
     assert config_hash(a) != config_hash(c)
+
+
+def test_sha256_equals_hashlib(tmp_path):
+    # the manifests' digests come from the interpreter's built-in SHA-256, not
+    # OpenSSL's; a file over one 65 536-byte read goes through several updates
+    for data in (b"", "key = värde\n".encode()):
+        assert tbsim.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    data = bytes(range(256)) * 300
+    path = tmp_path / "big.bin"
+    path.write_bytes(data)
+    assert len(data) > 65536
+    assert _sha256_file(str(path)) == hashlib.sha256(data).hexdigest()
+
+
+_SHA256_FALLBACK_SCRIPT = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None  # an interpreter without them
+import tbsim
+print(type(tbsim.sha256()).__module__, tbsim.sha256(b"abc").hexdigest())
+"""
+
+
+def test_sha256_falls_back_to_hashlib():
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    proc = subprocess.run([sys.executable, "-c", _SHA256_FALLBACK_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["_hashlib", hashlib.sha256(b"abc").hexdigest()]
 
 
 def test_run_config_validation(tmp_path):
@@ -194,6 +225,9 @@ _MALFORMED = {
     "g2-input-is-directory": ("analyze g2", _DIRECTORY, [], 3),
     "tomo-count-beyond-int64": ("analyze tomo", _counts(2**63), [], 3),
     "tomo-negative-count": ("analyze tomo", _counts(-5), [], 3, "non-negative"),
+    "g2-zero-bin-width": ("analyze g2",
+                          _flat_hist().replace("bin_width_ps=10.0", "bin_width_ps=0"),
+                          ["--rep-period", "40"], 3, "bin_width must be positive"),
     "g2-negative-count": ("analyze g2", _flat_hist(centre=-5), ["--rep-period", "40"], 3,
                           "non-negative"),
     # with --rep-period 40 the far peaks lie beyond +-100 ps, the +-1 peaks within
@@ -374,6 +408,17 @@ def test_malformed_input_exit_code_and_one_line(tmp_path, capsys, monkeypatch, c
     assert err.startswith(prefix) and err.count("\n") == 1, err
     assert all(text in err for text in match), err
     assert not (tmp_path / "o").exists()  # a rejected run leaves no output directory
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("nest", [lambda v: {"fit": {"value": v, "sigma": 1.0}},
+                                  lambda v: {"rho": [[0.5, v], [1.0, 0.0]]}],
+                         ids=["dict", "list"])
+def test_json_dumps_rejects_a_non_finite_number(value, nest):
+    # json.dumps writes NaN and Infinity by default, which no strict JSON reader parses
+    with pytest.raises(DataError, match="not a finite number"):
+        _json_dumps(nest(value))
+    assert json.loads(_json_dumps(nest(0.25))) == nest(0.25)
 
 
 @pytest.mark.filterwarnings("error")
@@ -633,6 +678,13 @@ def test_no_command_imports_scipy(console_runs):
     # all 16 commands, the lifetime and Rabi fits included, run on NumPy alone
     for command, run in console_runs.items():
         assert "scipy" not in {m.split(".")[0] for m in run.imported}, command
+
+
+def test_no_command_loads_openssl(console_runs):
+    # hashlib loads OpenSSL's libcrypto, up to 3.8 MB of a command's peak, for
+    # the manifest's digests; tbsim.sha256 uses the interpreter's own SHA-256
+    for command, run in console_runs.items():
+        assert not {"_hashlib", "_ssl", "hashlib"} & set(run.imported), command
 
 
 def test_each_command_imports_only_its_modules(console_runs):

@@ -286,6 +286,13 @@ def test_hom_peak_positions_exact():
     assert peaks == [-2, -1, 0, 1, 2]
 
 
+@pytest.mark.parametrize("v", [-0.1, 1.5, float("nan")])
+def test_hom_run_rejects_a_mutual_visibility_outside_0_1(v):
+    with pytest.raises(ValueError, match="mutual_visibility"):
+        optics.simulate_hom_run(EmitterParams(), Interferometer(delay=3000.0), v,
+                                DetectorModel.ideal(), 100, 17)
+
+
 # --- autocorrelation and coherent reference ----------------------------------
 
 def test_autocorrelation_single_emitter_suppressed_center():

@@ -106,6 +106,17 @@ def test_stacked_metrics_equal_the_single_matrix_ones_bit_for_bit():
 
 # --- metrics ------------------------------------------------------------------
 
+def test_fidelity_of_a_non_hermitian_matrix_raises():
+    # <psi|m|psi> of a non-Hermitian m can be complex; its real part alone
+    # would be a silently wrong fidelity
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 3] = 0.2j
+    with pytest.raises(ValueError, match="imaginary part"):
+        fidelity_to_state(m, BELL_PHI_PLUS)
+    with pytest.raises(ValueError, match="imaginary part"):
+        fidelity_to_state(np.stack([np.eye(4) / 4.0, m]), BELL_PHI_PLUS)
+
+
 def test_concurrence_bell_state():
     rho = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
     assert concurrence(rho) == pytest.approx(1.0, abs=1e-12)

@@ -128,6 +128,13 @@ def test_simulate_counts_deterministic_and_unbiased():
         assert abs(a.counts[k] - mean) < 5 * np.sqrt(mean + 1)
 
 
+@pytest.mark.parametrize("eta", [0.0, -0.25, 1.5, float("nan")])
+def test_simulate_counts_rejects_an_efficiency_outside_0_1(eta):
+    rho = ideal_timebin_density(TimebinStateModel(visibility=0.7))
+    with pytest.raises(ValueError, match="efficiency_product"):
+        tomo.simulate_counts(rho, 1000, eta, seed=5)
+
+
 def test_counts_csv_roundtrip():
     rho = ideal_timebin_density(TimebinStateModel())
     table = tomo.simulate_counts(rho, 10000, 1.0, seed=2)
@@ -246,6 +253,15 @@ def test_observed_rho_does_not_depend_on_mc_runs():
     many = tomo.reconstruct(table, mc_runs=50, seed=3)
     assert np.array_equal(few.rho.matrix, many.rho.matrix)
     assert (few.mc_converged, many.mc_converged) == (2, 50)
+
+
+@pytest.mark.parametrize("runs", [1, 0])
+def test_monte_carlo_errors_needs_two_runs(runs):
+    # one resample has no sample standard deviation
+    rho = ideal_timebin_density(TimebinStateModel(visibility=0.8))
+    table = tomo.simulate_counts(rho, 50_000, 0.00625, seed=21)
+    with pytest.raises(ValueError, match="at least 2"):
+        tomo.monte_carlo_errors(table, runs=runs, seed=3)
 
 
 # --- the one-draw resamples and the compacted APG loop against their oracles --------
