@@ -107,17 +107,6 @@ def on_cycle_blocks(params: EmitterParams, seed, cycles: int):
         a += len(states)
 
 
-def _excited_blocks(params: EmitterParams, seed, cycles: int):
-    """Per block of cycles: its end, its excited cycles, and those of them with a second pair."""
-    s_exc = rng.stream_seed(seed, Stream.EXCITE)
-    s_two = rng.stream_seed(seed, Stream.TWO_PAIR)
-    end = 0
-    for on in on_cycle_blocks(params, seed, cycles):
-        end = min(end + rng.BLOCK, cycles)
-        excited = on[rng.below(s_exc, on, params.p_emit_pi)]
-        yield end, excited, excited[rng.below(s_two, excited, params.two_pair_prob)]
-
-
 def _emissions(params: EmitterParams, seed, cycle: np.ndarray, s_xx: Stream, s_x: Stream):
     """Records of the pairs emitted at `cycle`, their delays drawn at those counters."""
     t_xx = cycle * params.rep_period
@@ -130,21 +119,17 @@ def _emissions(params: EmitterParams, seed, cycle: np.ndarray, s_xx: Stream, s_x
 def pair_emission_blocks(params: EmitterParams, seed, cycles: int):
     """`sample_pair_emission`'s stream, one block of `rng.BLOCK` cycles at a time.
 
-    The stream is the stable sort by t_xx of all primary records, then all
-    extra ones, each by cycle. No record of a later block lies before that
-    block's first cycle start, so a block yields its records sorted, save
-    those whose t_xx reaches that start: they are held back and sorted with
-    the next block, primaries before extras as in the whole-run sort.
+    A block yields the records of its own cycles and no others, ordered by
+    cycle, a cycle's second pair after its first.
     """
-    held = held_extra = EmissionRecords()
-    for end, excited, extra in _excited_blocks(params, seed, cycles):
-        primary = _concat(held, _emissions(params, seed, excited, Stream.EXP_XX, Stream.EXP_X))
-        extra = _concat(held_extra, _emissions(params, seed, extra,
-                                               Stream.EXP_XX_EXTRA, Stream.EXP_X_EXTRA))
-        edge = end * params.rep_period if end < cycles else np.inf
-        late, late_extra = primary.t_xx >= edge, extra.t_xx >= edge
-        held, held_extra = _take(primary, late), _take(extra, late_extra)
-        yield _sort_by_t_xx(_concat(_take(primary, ~late), _take(extra, ~late_extra)))
+    s_exc = rng.stream_seed(seed, Stream.EXCITE)
+    s_two = rng.stream_seed(seed, Stream.TWO_PAIR)
+    for on in on_cycle_blocks(params, seed, cycles):
+        excited = on[rng.below(s_exc, on, params.p_emit_pi)]
+        extra = excited[rng.below(s_two, excited, params.two_pair_prob)]
+        yield merge_records(
+            _emissions(params, seed, excited, Stream.EXP_XX, Stream.EXP_X),
+            _emissions(params, seed, extra, Stream.EXP_XX_EXTRA, Stream.EXP_X_EXTRA))
 
 
 def sample_pair_emission(params: EmitterParams, seed, cycles: int) -> EmissionRecords:
@@ -154,9 +139,9 @@ def sample_pair_emission(params: EmitterParams, seed, cycles: int) -> EmissionRe
     p_emit_pi (the Rabi population at area pi); an excitation yields t_xx =
     cycle start + Exp(tau_xx) and t_x = t_xx + Exp(tau_x).  With
     probability two_pair_prob a second, uncorrelated pair from the same
-    pulse is appended. The stream is ordered by t_xx (a stable sort of all
-    primary records, then all extra ones, each by cycle), so it is the
-    order in which the pairs are emitted.
+    pulse follows the first. The stream is ordered by cycle, a cycle's
+    second pair after its first, as every blocked simulation numbers its
+    photons: by cycle, then by slot.
     Fully counter-indexed: every stream is drawn at the counters of the
     cycles that read it (excitation at ON cycles, the rest at excited
     ones), and the draw at a counter does not depend on which others are
@@ -173,18 +158,11 @@ def _concat(*records: EmissionRecords) -> EmissionRecords:
     return EmissionRecords(*(np.concatenate([getattr(r, f) for r in records]) for f in _FIELDS))
 
 
-def _take(records: EmissionRecords, sel) -> EmissionRecords:
-    return EmissionRecords(*(getattr(records, f)[sel] for f in _FIELDS))
-
-
 def merge_records(a: EmissionRecords, b: EmissionRecords) -> EmissionRecords:
-    """The records of a, then b, in one stream ordered by t_xx (stable); a and b are unchanged."""
-    return _sort_by_t_xx(_concat(a, b))
-
-
-def _sort_by_t_xx(records: EmissionRecords) -> EmissionRecords:
-    """`records` reordered by t_xx (stable sort) in place, one column at a time."""
-    order = np.argsort(records.t_xx, kind="stable")
+    """The records of a, then b, in one stream ordered by cycle (stable sort, one column
+    at a time): a cycle's records of a come before those of b; a and b are unchanged."""
+    records = _concat(a, b)
+    order = np.argsort(records.cycle, kind="stable")
     for f in _FIELDS:
         setattr(records, f, getattr(records, f)[order])
     return records

@@ -400,22 +400,12 @@ def simulate_hom_run(emitter: EmitterParams, analyzer: Interferometer,
         bunch_det = coin(Stream.HOM_BUNCH_DET, bunch, 0.5)
         det0[np.searchsorted(i0, bunch)] = bunch_det
         det1[np.searchsorted(i1, bunch)] = bunch_det
-        # a cycle's pulse-0 photon comes after the pulse-1 photons of
-        # earlier cycles, its pulse-1 photon after the pulse-0 photons
-        # of this and earlier cycles
-        at = (np.arange(len(i0)) + np.searchsorted(i1, i0),
-              np.arange(len(i1)) + np.searchsorted(i0, i1, side="right"))
-        ch = np.empty(len(i0) + len(i1), dtype=np.int8)
-        tm = np.empty(len(ch))
-        for s_exp, lead, i, path, det, pos in zip((Stream.HOM_EXP0, Stream.HOM_EXP1), (0.0, d),
-                                                  (i0, i1), (path0, path1), (det0, det1), at):
-            t = i * pair_period
-            t += lead
-            t += path * d
-            t += rng.exponential(rng.stream_seed(seed, s_exp), i, emitter.tau_xx)
-            ch[pos] = det
-            tm[pos] = t
-        return ch, tm
+        t0, t1 = (i * pair_period + lead + path * d
+                  + rng.exponential(rng.stream_seed(seed, s_exp), i, emitter.tau_xx)
+                  for s_exp, lead, i, path in zip((Stream.HOM_EXP0, Stream.HOM_EXP1), (0.0, d),
+                                                  (i0, i1), (path0, path1)))
+        order = np.argsort(np.concatenate([i0, i1]), kind="stable")  # by cycle, pulse 0 first
+        return np.concatenate([det0, det1]).view(np.int8)[order], np.concatenate([t0, t1])[order]
 
     photons = (block_photons(on) for on in on_cycle_blocks(emitter, seed, cycles))
     return _detect_blocks(photons, detectors, cycles * pair_period, seed)
@@ -428,8 +418,8 @@ def simulate_autocorrelation(emitter: EmitterParams, photon: str,
     """Hanbury Brown-Twiss stream of one photon species split 50/50.
 
     One pass over the emission blocks: each block's photons take the split
-    coin (`HBT_SPLIT`) and go to the detectors numbered in emission order, so
-    the only whole-run arrays are the clicks.
+    coin (`HBT_SPLIT`) and go to the detectors numbered by cycle, then by
+    slot, so the only whole-run arrays are the clicks.
     """
     if photon not in ("xx", "x"):
         raise ValueError("photon must be 'xx' or 'x'")

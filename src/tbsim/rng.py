@@ -152,11 +152,8 @@ def exponential(seed, counters, scale) -> np.ndarray:
 
 
 def below(seed, counters, p) -> np.ndarray:
-    """Coins `uniform(seed, counters) < p`, drawn `BLOCK` counters at a time."""
-    out = np.empty(len(counters), dtype=np.bool_)
-    for a in range(0, len(counters), BLOCK):
-        np.less(uniform(seed, counters[a:a + BLOCK]), p, out=out[a:a + BLOCK])
-    return out
+    """Coins `uniform(seed, counters) < p`."""
+    return uniform(seed, counters) < p
 
 
 def normal_pairs(seed, counters) -> np.ndarray:
@@ -304,7 +301,7 @@ class CounterRng:
         return z
 
     def below(self, n: int, p) -> np.ndarray:
-        """Coins `uniform(n) < p`, drawn `BLOCK` counters at a time."""
+        """Coins `uniform(n) < p`."""
         return below(self.seed, self._next_counters(n), p)
 
     def poisson(self, means) -> np.ndarray:

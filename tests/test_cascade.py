@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbsim.cascade import (EmitterParams, blinking_telegraph,
+from tbsim.cascade import (EmissionRecords, EmitterParams, blinking_telegraph,
                            merge_records, sample_pair_emission,
                            two_pair_prob_for_g2, two_photon_rabi_population)
 
@@ -49,6 +49,9 @@ def test_telegraph_always_on():
 def test_telegraph_rejects_impossible_off_dwell():
     with pytest.raises(ValueError):
         blinking_telegraph(0.99, 2.0, seed=0, cycles=10)
+    for on_fraction in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"on_fraction must be in \(0, 1\]"):
+            blinking_telegraph(on_fraction, 10.0, 0, 5)
 
 
 def test_sampling_deterministic():
@@ -88,7 +91,13 @@ def test_merge_records_sorted():
     b = sample_pair_emission(p, seed=2, cycles=2000)
     m = merge_records(a, b)
     assert len(m) == len(a) + len(b)
-    assert np.all(np.diff(m.t_xx) >= 0)
+    assert np.all(np.diff(m.cycle) >= 0)
+    # by cycle, not t_xx: a cycle's record of a comes before that of b
+    a = EmissionRecords(np.array([1, 4]), np.array([1e4, 5e4]), np.array([2e4, 6e4]))
+    b = EmissionRecords(np.array([0, 4]), np.array([5e3, 4e4]), np.array([6e3, 7e4]))
+    m = merge_records(a, b)
+    assert m.cycle.tolist() == [0, 1, 4, 4] and m.t_xx.tolist() == [5e3, 1e4, 5e4, 4e4]
+    assert a.cycle.tolist() == [1, 4] and b.t_xx.tolist() == [5e3, 4e4]
 
 
 def test_g2_inversion_fixed_point():

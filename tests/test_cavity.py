@@ -29,6 +29,9 @@ def test_validation():
         Layer(1.5, -1.0)
     with pytest.raises(ValueError):
         LayerStack(())
+    for indices in ({"n_ambient": 0.0}, {"n_substrate": -1.0}):
+        with pytest.raises(ValueError, match="indices must be positive"):
+            LayerStack((Layer(3.0, 10.0),), **indices)
     with pytest.raises(ValueError):
         DefectModel(height=0.0)
 

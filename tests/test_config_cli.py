@@ -333,6 +333,9 @@ _MALFORMED = {
                                 "transmission peak"),
     "cavity-fwhm-not-bracketed": ("cavity efficiency", "cavity.top_pairs = 0\n", [], 2,
                                   "FWHM"),
+    "cavity-vanishing-peak": ("cavity spectrum",
+                              "cavity.bottom_pairs = 60\ncavity.top_pairs = 5\n", [], 2,
+                              "vanishingly small"),
     "hom-zero-delay": ("analyze hom", _flat_hist(), ["--delay", "0"], 3, "delay"),
     "hom-negative-delay": ("analyze hom", _flat_hist(), ["--delay", "-3000"], 3, "delay"),
     "g2-zero-rep-period": ("analyze g2", _flat_hist(), ["--rep-period", "0"], 3,

@@ -123,6 +123,13 @@ def test_poisson_mean_whose_draw_may_not_fit_int64_is_a_value_error():
     assert abs(int(r.poisson(np.array([below]))[0]) - below) < 20 * math.sqrt(below)
 
 
+def test_poisson_exhausted_draw_budget_raises(monkeypatch):
+    monkeypatch.setattr(rng, "_POISSON_BUDGET", 2)
+    for mean in (5.0, 50.0):  # Knuth's method, then PTRS
+        with pytest.raises(RuntimeError, match="exhausted its draw budget"):
+            rng.poisson(rng.random_u64(7, range(8)), mean)
+
+
 def ptrs_one_oracle(mu: float, us: np.ndarray) -> int:
     """Hormann's PTRS for mu >= 10, one draw at a time in Python floats: the
     scalar loop that `rng._poisson_ptrs` vectorises."""

@@ -5,11 +5,12 @@ cycles that read it, one block of `rng.BLOCK` cycles at a time, and
 `simulate_hom_run` and `simulate_autocorrelation` are one pass over those
 blocks, each block's photons going to the detectors before the next. The
 reference implementations below step the telegraph over the whole run in
-one call, draw every stream at every cycle, mask the draws down, put the
-photons in emission order (the pair stream by t_xx, the HOM photons by
-cycle and then pulse) and detect them all in one call. Both read the same
-(stream, counter) draws, so their outputs must be equal array for array,
-for any block size.
+one call, draw every stream at every cycle, mask the draws down, number
+the photons by cycle and then by slot (the pair stream's second pair, the
+HOM photons' pulse) with plain NumPy, and detect them all in one call. Both
+read the same (stream, counter) draws, so their outputs must be equal array
+for array, for any block size. A block of the pair stream holds only the
+records of its own cycles.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ import pytest
 
 from tbsim import cascade, rng
 from tbsim.cascade import (EmissionRecords, EmitterParams, blinking_telegraph,
-                           merge_records, sample_pair_emission, two_pair_prob_for_g2)
+                           pair_emission_blocks, sample_pair_emission, two_pair_prob_for_g2)
 from tbsim.cli import main
 from tbsim.config import RunConfig
 from tbsim.kernels import dead_time_mask, telegraph
@@ -75,9 +76,11 @@ def full_draw_sample_pair_emission(params: EmitterParams, seed, cycles: int) -> 
 
     def pick(mask, exx, ex):
         t_xx = pulse_abs[mask] + exx[mask]
-        return EmissionRecords(cycle=cyc[mask], t_xx=t_xx, t_x=t_xx + ex[mask])
+        return cyc[mask], t_xx, t_xx + ex[mask]
 
-    return merge_records(pick(excited, e_xx, e_x), pick(extra, e_xx2, e_x2))
+    first, second = pick(excited, e_xx, e_x), pick(extra, e_xx2, e_x2)
+    order = np.argsort(np.concatenate([2 * first[0], 2 * second[0] + 1]))
+    return EmissionRecords(*(np.concatenate([a, b])[order] for a, b in zip(first, second)))
 
 
 def full_draw_simulate_hom_run(emitter: EmitterParams, analyzer: Interferometer,
@@ -259,8 +262,8 @@ def test_samplers_equal_full_draw_across_block_edges(monkeypatch, block):
 
 
 # Emissions that cross block edges: lifetimes of several periods, and second
-# pairs that the stream merges by t_xx; a detector below efficiency 1, with
-# dark counts and dead time.
+# pairs whose t_xx may come before the first pair's; a detector below
+# efficiency 1, with dark counts and dead time.
 _LATE_EMITTERS = (
     EmitterParams(tau_xx=3.5 * 12500.0, tau_x=2.0 * 12500.0, two_pair_prob=0.3,
                   blinking_mean_on_cycles=3.0),
@@ -289,11 +292,23 @@ def test_autocorrelation_equals_whole_run_across_block_edges(monkeypatch, block)
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (name, em, cycles)
 
 
-def test_pair_stream_is_ordered_by_t_xx():
+@pytest.mark.parametrize("block", BLOCKS)
+def test_pair_blocks_hold_only_their_own_cycles(monkeypatch, block):
+    monkeypatch.setattr(rng, "BLOCK", block)
+    for (seed, em), cycles in itertools.product(enumerate(_LATE_EMITTERS, 300),
+                                                _straddling(block)):
+        blocks = list(pair_emission_blocks(em, seed, cycles))
+        assert len(blocks) == -(-cycles // block), (em, cycles)
+        for k, rec in enumerate(blocks):
+            assert np.all(rec.cycle // block == k), (em, cycles, k)
+
+
+def test_pair_stream_is_ordered_by_cycle():
     emitters = [em for _, em in _emitters()] + list(_LATE_EMITTERS)
     for (seed, em), cycles in itertools.product(enumerate(emitters, 400), CYCLES):
-        t_xx = sample_pair_emission(em, seed, cycles).t_xx
-        assert np.all(t_xx[1:] >= t_xx[:-1]), (em, cycles)
+        cycle = sample_pair_emission(em, seed, cycles).cycle
+        # in order, and at most two pairs in a cycle
+        assert np.all(cycle[1:] >= cycle[:-1]) and np.all(cycle[2:] > cycle[:-2]), (em, cycles)
 
 
 def test_runs_step_the_telegraph_once_per_cycle(monkeypatch):

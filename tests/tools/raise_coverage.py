@@ -11,7 +11,8 @@ ran, so a `raise` must not share its line with the condition that guards
 it. Child processes, such as the console-script runs, are not traced.
 
 It uses the standard library and pytest only. It is not a tier-1 test: the
-tracing makes the suite slower. The exit status is pytest's.
+tracing makes the suite slower. The exit status is pytest's, or 1 when pytest
+passed but some `raise` went unreached.
 """
 
 import ast
@@ -66,7 +67,7 @@ def main(argv):
         with open(path, encoding="utf-8") as fh:
             text = fh.read().splitlines()[line - 1].strip()
         print(f"unreached: {os.path.relpath(path, ROOT)}:{line}: {text}")
-    return int(status)
+    return int(status) or int(bool(unreached))
 
 
 if __name__ == "__main__":
