@@ -70,12 +70,15 @@ class CountsTable:
         return cls(counts=[rows[key] for key in SETTINGS])
 
 
-# row k maps vec(rho) (row-major) to Tr(rho Pi_k)
+# row k maps vec(rho) (row-major) to Tr(rho Pi_k): vec(H) @ _DESIGN_T gives
+# every Tr(Pi_k H) of a stack of matrices at once
 _DESIGN = PROJECTORS.transpose(0, 2, 1).reshape(16, 16)
-# vec(H) @ _DESIGN_T gives every Tr(Pi_k H) of a stack of matrices at once;
-# c @ _GRAD gives vec(sum_k c_k Pi_k), since Pi_k is Hermitian
 _DESIGN_T = _DESIGN.T
-_GRAD = _DESIGN.conj()
+# row k of _DESIGN is conj(vec(Pi_k)), since Pi_k is Hermitian; so with vec(H)
+# viewed as 32 floats (real and imaginary parts interleaved), h @ _MU_F gives
+# every Re Tr(Pi_k H) and c @ _GRAD_F the floats of vec(sum_k c_k Pi_k)
+_GRAD_F = _DESIGN.conj().view(float)
+_MU_F = np.ascontiguousarray(_GRAD_F.T)
 
 
 def probabilities(rho) -> np.ndarray:
@@ -161,20 +164,24 @@ def _nll_and_gradient(h: np.ndarray, n: np.ndarray):
     """Extended Poisson NLL sum_k mu_k - n_k ln mu_k, mu_k = Tr(Pi_k H),
     and its gradient sum_k (1 - n_k / mu_k) Pi_k, for each row of a stack
     of vec(H). A row where a counted setting has mu_k <= 0 is outside the
-    domain: its NLL is infinite."""
-    mu = (h @ _DESIGN_T).real
+    domain: its NLL is infinite. Both products are real ones, on the
+    float view of the stack."""
+    mu = h.view(float) @ _MU_F
     counted = n > 0
-    inside = (mu > 0) | ~counted
-    mu_log = np.where(inside & counted, mu, 1.0)
+    logged = counted & (mu > 0)
+    mu_log = np.where(logged, mu, 1.0)
     nll = np.sum(mu - n * np.log(mu_log), axis=1)
-    nll[~inside.all(axis=1)] = np.inf
-    grad = (1.0 - np.where(counted, n / mu_log, 0.0)) @ _GRAD
-    return nll, grad
+    nll[(logged != counted).any(axis=1)] = np.inf
+    # an uncounted setting has n_k / mu_log = 0 / 1
+    grad = (1.0 - n / mu_log) @ _GRAD_F
+    return nll, grad.view(complex)
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re Tr(A^dagger B) for each row pair of two stacks of vec(H)."""
-    return np.sum(a.real * b.real + a.imag * b.imag, axis=1)
+def _bound_gap(g: np.ndarray, d: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Re Tr(G^dagger D) + |D|^2 / 2t for each row of two stacks of vec(H):
+    how far the quadratic bound at step t lies above f(Y) at Y + D."""
+    dv = d.view(float)
+    return np.einsum("ij,ij->i", dv, g.view(float) + dv / (2.0 * t)[:, None])
 
 
 @dataclass
@@ -183,6 +190,11 @@ class ApgResult:
     nfev: int              # NLL evaluations over all fits, backtracking included
     converged: np.ndarray  # (m,) bool: the stall rule, not the iteration cap, stopped it
     nit: np.ndarray        # (m,) iterations of each fit
+
+
+def _step(y: np.ndarray, g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The projected gradient step Y - tG of each row, clipped to H >= 0."""
+    return _clip_psd((y - t[:, None] * g).reshape(-1, 4, 4)).reshape(-1, 16)
 
 
 def minimize(n: np.ndarray, h0: np.ndarray) -> ApgResult:
@@ -204,6 +216,9 @@ def minimize(n: np.ndarray, h0: np.ndarray) -> ApgResult:
     order, and compacts it on the iterations where a fit leaves. Each NumPy
     call sees the rows of the fits it works on, in row order: a one-row
     product takes another path than a stack and may differ in the last bit.
+    Each iteration evaluates the extrapolated point of every fit in the
+    batch (a restarted fit's is its own x), and gathers the fits that
+    backtrack once, to halve their steps as a sub-batch.
     """
     m = len(n)
     tol = _MLE_STALL_TOL * n.sum(axis=1)
@@ -214,56 +229,56 @@ def minimize(n: np.ndarray, h0: np.ndarray) -> ApgResult:
     x_prev = x
     theta = np.ones(m)
     stalls = np.zeros(m, dtype=int)
-    nit = np.zeros(m, dtype=int)
     rows = np.arange(m)  # the row of each fit still in the batch
-    x_out, stalls_out, nit_out = np.empty_like(x), np.empty_like(stalls), np.empty_like(nit)
+    x_out, stalls_out, nit_out = np.empty_like(x), np.empty_like(stalls), np.empty_like(stalls)
+    nit = 0  # the iterations of every fit still in the batch
     while rows.size:
+        nit += 1
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
         beta = (theta - 1.0) / theta_next
-        y, fy, gy = x, fx, gx
-        moved = np.flatnonzero(beta > 0)
-        if moved.size:
-            ym = x[moved] + beta[moved, None] * (x[moved] - x_prev[moved])
-            fm, gm = _nll_and_gradient(ym, n[moved])
-            nfev += moved.size
-            ok = np.isfinite(fm)  # else take a plain gradient step from x
-            y, fy, gy = x.copy(), fx.copy(), gx.copy()
-            y[moved[ok]], fy[moved[ok]], gy[moved[ok]] = ym[ok], fm[ok], gm[ok]
+        y = x + beta[:, None] * (x - x_prev)
+        fy, gy = _nll_and_gradient(y, n)
+        nfev += rows.size
+        ok = np.isfinite(fy)
+        if not ok.all():  # a plain gradient step from x instead
+            y, fy, gy = (np.where(ok[:, None], y, x), np.where(ok, fy, fx),
+                         np.where(ok[:, None], gy, gx))
 
         # the first try takes every fit, the halvings those that backtrack
         t = step.copy()
-        z = _clip_psd((y - t[:, None] * gy).reshape(-1, 4, 4)).reshape(-1, 16)
+        z = _step(y, gy, t)
         fz, gz = _nll_and_gradient(z, n)
         nfev += rows.size
-        d = z - y
-        todo = np.flatnonzero(~(fz <= fy + _inner(gy, d) + _inner(d, d) / (2.0 * t)))
-        for _ in range(_MLE_MAX_HALVINGS - 1):
-            if not todo.size:
-                break
-            t[todo] *= 0.5
-            zt = _clip_psd((y[todo] - t[todo, None] * gy[todo]).reshape(-1, 4, 4)).reshape(-1, 16)
-            ft, gt = _nll_and_gradient(zt, n[todo])
-            nfev += todo.size
-            d = zt - y[todo]
-            bound = fy[todo] + _inner(gy[todo], d) + _inner(d, d) / (2.0 * t[todo])
-            z[todo], fz[todo], gz[todo] = zt, ft, gt
-            todo = todo[~(ft <= bound)]
-        t[todo] *= 0.5
+        back = np.flatnonzero(~(fz <= fy + _bound_gap(gy, z - y, t)))
+        if back.size:
+            yb, gb, fb, nb, tb = y[back], gy[back], fy[back], n[back], t[back]
+            for _ in range(_MLE_MAX_HALVINGS - 1):
+                tb = 0.5 * tb
+                zb = _step(yb, gb, tb)
+                fzb, gzb = _nll_and_gradient(zb, nb)
+                nfev += back.size
+                z[back], fz[back], gz[back], t[back] = zb, fzb, gzb, tb
+                fail = ~(fzb <= fb + _bound_gap(gb, zb - yb, tb))
+                if not fail.any():
+                    break
+                back, yb, gb, fb, nb, tb = (a[fail] for a in (back, yb, gb, fb, nb, tb))
+            else:
+                t[back] = 0.5 * tb
         step = 1.25 * t
 
         rose = ~(fz <= fx)
         decrease = np.where(rose, 0.0, fx - fz)
-        z[rose], fz[rose], gz[rose] = x[rose], fx[rose], gx[rose]
+        if rose.any():
+            z[rose], fz[rose], gz[rose] = x[rose], fx[rose], gx[rose]
         x_prev, x, fx, gx = x, z, fz, gz
         theta = np.where(rose, 1.0, theta_next)
         stalls = np.where(decrease <= tol, stalls + 1, 0)
-        nit += 1
         stay = (stalls < _MLE_STALL_ITERS) & (nit < _MLE_MAX_ITER)
         if not stay.all():
             gone = rows[~stay]
-            x_out[gone], stalls_out[gone], nit_out[gone] = x[~stay], stalls[~stay], nit[~stay]
-            rows, n, tol, step, x, fx, gx, x_prev, theta, stalls, nit = (
-                a[stay] for a in (rows, n, tol, step, x, fx, gx, x_prev, theta, stalls, nit))
+            x_out[gone], stalls_out[gone], nit_out[gone] = x[~stay], stalls[~stay], nit
+            rows, n, tol, step, x, fx, gx, x_prev, theta, stalls = (
+                a[stay] for a in (rows, n, tol, step, x, fx, gx, x_prev, theta, stalls))
     return ApgResult(x=x_out.reshape(m, 4, 4), nfev=int(nfev),
                      converged=stalls_out >= _MLE_STALL_ITERS, nit=nit_out)
 

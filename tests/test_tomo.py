@@ -288,10 +288,11 @@ def test_resample_equals_the_per_stream_draws(monkeypatch, runs):
 
 
 def minimize_oracle(n, h0):
-    """`tomo.minimize` before its state was compacted: every iteration gathers
-    and scatters the state of the active fits. Verbatim but for the count of
-    momentum points outside the domain that it also returns."""
-    _nll_and_gradient, _clip_psd, _inner = tomo._nll_and_gradient, tomo._clip_psd, tomo._inner
+    """`tomo.minimize`'s iteration without its state compacted: every iteration
+    gathers and scatters the state of the active fits, and each halving
+    gathers its rows from the whole active batch. Also returns the count of
+    momentum points outside the domain."""
+    _nll_and_gradient, _step, _bound_gap = tomo._nll_and_gradient, tomo._step, tomo._bound_gap
     m = len(n)
     tol = tomo._MLE_STALL_TOL * n.sum(axis=1)
     step = n.sum(axis=1) / 16.0
@@ -305,37 +306,32 @@ def minimize_oracle(n, h0):
     active = np.arange(m)
     outside = 0
     while active.size:
-        na, xa = n[active], x[active]
+        na, xa, fa, ga = n[active], x[active], fx[active], gx[active]
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta[active] ** 2))
         beta = (theta[active] - 1.0) / theta_next
-        y, fy, gy = xa.copy(), fx[active], gx[active]
-        moved = np.flatnonzero(beta > 0)
-        if moved.size:
-            ym = xa[moved] + beta[moved, None] * (xa[moved] - x_prev[active[moved]])
-            fm, gm = _nll_and_gradient(ym, na[moved])
-            nfev += moved.size
-            ok = np.isfinite(fm)  # else take a plain gradient step from x
-            outside += int((~ok).sum())
-            y[moved[ok]], fy[moved[ok]], gy[moved[ok]] = ym[ok], fm[ok], gm[ok]
+        y = xa + beta[:, None] * (xa - x_prev[active])
+        fy, gy = _nll_and_gradient(y, na)
+        nfev += active.size
+        ok = np.isfinite(fy)  # else take a plain gradient step from x
+        outside += int((~ok).sum())
+        y[~ok], fy[~ok], gy[~ok] = xa[~ok], fa[~ok], ga[~ok]
 
         t = step[active]
         z, fz, gz = np.empty_like(y), np.empty_like(fy), np.empty_like(gy)
         todo = np.arange(len(active))
         for _ in range(tomo._MLE_MAX_HALVINGS):
-            zt = _clip_psd((y[todo] - t[todo, None] * gy[todo]).reshape(-1, 4, 4)).reshape(-1, 16)
+            zt = _step(y[todo], gy[todo], t[todo])
             ft, gt = _nll_and_gradient(zt, na[todo])
             nfev += todo.size
-            d = zt - y[todo]
-            bound = fy[todo] + _inner(gy[todo], d) + _inner(d, d) / (2.0 * t[todo])
             z[todo], fz[todo], gz[todo] = zt, ft, gt
-            todo = todo[~(ft <= bound)]
+            todo = todo[~(ft <= fy[todo] + _bound_gap(gy[todo], zt - y[todo], t[todo]))]
             if not todo.size:
                 break
             t[todo] *= 0.5
         step[active] = 1.25 * t
 
-        rose = ~(fz <= fx[active])
-        decrease = np.where(rose, 0.0, fx[active] - fz)
+        rose = ~(fz <= fa)
+        decrease = np.where(rose, 0.0, fa - fz)
         x_prev[active] = xa
         took = active[~rose]
         x[took], fx[took], gx[took] = z[~rose], fz[~rose], gz[~rose]
@@ -346,6 +342,95 @@ def minimize_oracle(n, h0):
                         & (nit[active] < tomo._MLE_MAX_ITER)]
     return tomo.ApgResult(x=x.reshape(m, 4, 4), nfev=int(nfev),
                           converged=stalls >= tomo._MLE_STALL_ITERS, nit=nit), outside
+
+
+_DESIGN_T, _GRAD = tomo._DESIGN.T, tomo._DESIGN.conj()
+
+
+def _complex_nll_and_gradient(h, n):
+    """The former `tomo._nll_and_gradient`: complex products, mu their real part."""
+    mu = (h @ _DESIGN_T).real
+    counted = n > 0
+    inside = (mu > 0) | ~counted
+    mu_log = np.where(inside & counted, mu, 1.0)
+    nll = np.sum(mu - n * np.log(mu_log), axis=1)
+    nll[~inside.all(axis=1)] = np.inf
+    grad = (1.0 - np.where(counted, n / mu_log, 0.0)) @ _GRAD
+    return nll, grad
+
+
+def _inner(a, b):
+    """The former `tomo._inner`: Re Tr(A^dagger B) of each row pair."""
+    return np.sum(a.real * b.real + a.imag * b.imag, axis=1)
+
+
+def minimize_before_fused_calls(n, h0):
+    """`tomo.minimize` as it was before each iteration made fewer, larger NumPy
+    calls: complex products for mu and the gradient, momentum points of the
+    moved fits only, backtracking rows gathered on every halving, and the
+    bound as two inner products. Verbatim but for the names of its helpers."""
+    _nll_and_gradient, _clip_psd = _complex_nll_and_gradient, tomo._clip_psd
+    m = len(n)
+    tol = tomo._MLE_STALL_TOL * n.sum(axis=1)
+    step = n.sum(axis=1) / 16.0
+    x = h0.reshape(m, 16).astype(complex)
+    fx, gx = _nll_and_gradient(x, n)
+    nfev = m
+    x_prev = x
+    theta = np.ones(m)
+    stalls = np.zeros(m, dtype=int)
+    nit = np.zeros(m, dtype=int)
+    rows = np.arange(m)  # the row of each fit still in the batch
+    x_out, stalls_out, nit_out = np.empty_like(x), np.empty_like(stalls), np.empty_like(nit)
+    while rows.size:
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
+        beta = (theta - 1.0) / theta_next
+        y, fy, gy = x, fx, gx
+        moved = np.flatnonzero(beta > 0)
+        if moved.size:
+            ym = x[moved] + beta[moved, None] * (x[moved] - x_prev[moved])
+            fm, gm = _nll_and_gradient(ym, n[moved])
+            nfev += moved.size
+            ok = np.isfinite(fm)  # else take a plain gradient step from x
+            y, fy, gy = x.copy(), fx.copy(), gx.copy()
+            y[moved[ok]], fy[moved[ok]], gy[moved[ok]] = ym[ok], fm[ok], gm[ok]
+
+        # the first try takes every fit, the halvings those that backtrack
+        t = step.copy()
+        z = _clip_psd((y - t[:, None] * gy).reshape(-1, 4, 4)).reshape(-1, 16)
+        fz, gz = _nll_and_gradient(z, n)
+        nfev += rows.size
+        d = z - y
+        todo = np.flatnonzero(~(fz <= fy + _inner(gy, d) + _inner(d, d) / (2.0 * t)))
+        for _ in range(tomo._MLE_MAX_HALVINGS - 1):
+            if not todo.size:
+                break
+            t[todo] *= 0.5
+            zt = _clip_psd((y[todo] - t[todo, None] * gy[todo]).reshape(-1, 4, 4)).reshape(-1, 16)
+            ft, gt = _nll_and_gradient(zt, n[todo])
+            nfev += todo.size
+            d = zt - y[todo]
+            bound = fy[todo] + _inner(gy[todo], d) + _inner(d, d) / (2.0 * t[todo])
+            z[todo], fz[todo], gz[todo] = zt, ft, gt
+            todo = todo[~(ft <= bound)]
+        t[todo] *= 0.5
+        step = 1.25 * t
+
+        rose = ~(fz <= fx)
+        decrease = np.where(rose, 0.0, fx - fz)
+        z[rose], fz[rose], gz[rose] = x[rose], fx[rose], gx[rose]
+        x_prev, x, fx, gx = x, z, fz, gz
+        theta = np.where(rose, 1.0, theta_next)
+        stalls = np.where(decrease <= tol, stalls + 1, 0)
+        nit += 1
+        stay = (stalls < tomo._MLE_STALL_ITERS) & (nit < tomo._MLE_MAX_ITER)
+        if not stay.all():
+            gone = rows[~stay]
+            x_out[gone], stalls_out[gone], nit_out[gone] = x[~stay], stalls[~stay], nit[~stay]
+            rows, n, tol, step, x, fx, gx, x_prev, theta, stalls, nit = (
+                a[stay] for a in (rows, n, tol, step, x, fx, gx, x_prev, theta, stalls, nit))
+    return tomo.ApgResult(x=x_out.reshape(m, 4, 4), nfev=int(nfev),
+                          converged=stalls_out >= tomo._MLE_STALL_ITERS, nit=nit_out)
 
 
 def _start(counts):
@@ -383,3 +468,31 @@ def test_minimize_equals_the_uncompacted_loop():
         assert np.array_equal(got.nit, want.nit), name
         assert np.array_equal(got.converged, want.converged), name
     assert outside["V=0.99 50000"] and outside["V=0.99 50000 resamples"]
+
+
+def _tomo_mc_tables(seed):
+    """(name, counts) of the benchmark's ten tomo-mc tables at one seed, each
+    as a batch of one and as its 50 resamples."""
+    states = ((0.5, np.pi / 2.0), (0.6, np.pi), (0.7, 0.0), (0.8, 0.75 * np.pi),
+              (0.9, np.pi / 4.0))
+    levels = ((50_000, 0.00625), (4_000_000, 1.0))
+    for i, (v, phi) in enumerate(states):
+        rho = ideal_timebin_density(TimebinStateModel(v, phi))
+        for j, (cycles, eff) in enumerate(levels):
+            s = seed * 100 + 2 * i + j
+            table = tomo.simulate_counts(rho, cycles, eff, s)
+            yield f"V={v} {cycles}", table.counts[None]
+            yield f"V={v} {cycles} resamples", tomo._resample(table, 50, s)
+
+
+def test_minimize_stops_where_the_former_iteration_stopped():
+    # the products and the bound sum in another order, so each fit may stop
+    # one iteration apart, but not further than the stall rule's tolerance
+    for name, counts in (*_minimize_cases(), *_tomo_mc_tables(901)):
+        n, h0 = _start(counts)
+        want = minimize_before_fused_calls(n, h0)
+        got = tomo.minimize(n, h0)
+        nll = [_complex_nll_and_gradient(res.x.reshape(-1, 16), n)[0] for res in (got, want)]
+        assert np.all(np.abs(nll[0] - nll[1]) <= tomo._MLE_STALL_TOL * n.sum(axis=1)), name
+        assert np.all(np.abs(got.nit - want.nit) <= 1), name
+        assert np.array_equal(got.converged, want.converged), name
