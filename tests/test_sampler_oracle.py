@@ -229,17 +229,16 @@ def test_blocked_telegraph_equals_one_whole_run_call(monkeypatch, block):
             assert got.dtype == want.dtype and np.array_equal(got, want), (f, mean_on, cycles)
 
 
-def test_coins_equal_uniform_below_p():
-    # `below` is `uniform < p` and reads no block size; the run and draw sizes
-    # straddle blocks of 1, 7 and 64 counters all the same
-    for size, ns in ((14, (0, 1, 2, 3)), (74, (0, 1, 8, 21)), (644, (0, 1, 65, 192))):
-        counters = np.arange(3, 3 + size) ** 2
-        for p in (0.0, 0.25, 0.5, 1.0):
-            assert np.array_equal(rng.below(9, counters, p), rng.uniform(9, counters) < p)
-            r, want = rng.CounterRng(9, 3), rng.CounterRng(9, 3)
-            for n in ns:
-                assert np.array_equal(r.below(n, p), want.uniform(n) < p)
-            assert r.counter == want.counter
+@pytest.mark.parametrize("block", BLOCKS)
+def test_blocked_coins_equal_whole_run_coins(monkeypatch, block):
+    monkeypatch.setattr(rng, "BLOCK", block)
+    counters = np.arange(3, 3 + 10 * block + 4) ** 2
+    for p in (0.0, 0.25, 0.5, 1.0):
+        assert np.array_equal(rng.below(9, counters, p), rng.uniform(9, counters) < p)
+        r, want = rng.CounterRng(9, 3), rng.CounterRng(9, 3)
+        for n in (0, 1, block + 1, 3 * block):
+            assert np.array_equal(r.below(n, p), want.uniform(n) < p)
+        assert r.counter == want.counter
 
 
 @pytest.mark.parametrize("block", BLOCKS)
