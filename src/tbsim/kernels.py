@@ -82,10 +82,15 @@ def pair_delay_counts(starts, stops, lo, bin_width, nbins):
     first with ``d >= hi`` (`first_true`).  The loop then runs over the
     offset within that run, binning one stop per start at a time
     (multi-start correlation, Wahl et al., Opt. Express 11, 3583 (2003)).
+    Each offset's bins are added in place (`np.add.at`) into ``nbins + 1``
+    counters, the extra one catching the quotients that round up to
+    ``nbins``; it is folded into the last bin once, at the end.  No bin
+    index is negative: `first_true` selects ``d >= lo`` with the same
+    subtraction, so ``d - lo >= 0``.
     """
     starts = np.asarray(starts)
     stops = np.asarray(stops)
-    counts = np.zeros(nbins, dtype=np.int64)
+    counts = np.zeros(nbins + 1, dtype=np.int64)
     hi = lo + bin_width * nbins
     first = first_true(lambda j: stops[j] - starts >= lo, len(stops), len(starts))
     width = first_true(lambda j: stops[j] - starts >= hi, len(stops), len(starts)) - first
@@ -96,9 +101,9 @@ def pair_delay_counts(starts, stops, lo, bin_width, nbins):
     for k in range(int(width.max(initial=0))):
         a = np.searchsorted(width, k, side="right")
         idx = ((stops[first[a:] + k] - starts[a:] - lo) / bin_width).astype(np.int64)
-        np.minimum(idx, nbins - 1, out=idx)
-        counts += np.bincount(idx, minlength=nbins)
-    return counts
+        np.add.at(counts, idx, 1)
+    counts[nbins - 1] += counts[nbins]
+    return counts[:nbins]
 
 
 def dead_time_mask(times, dead_time):

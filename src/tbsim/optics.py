@@ -10,6 +10,7 @@ detection port (the photon may return toward the source).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,9 +20,11 @@ from . import rng
 from .cascade import (EmitterParams, blinking_telegraph, on_cycle_blocks,  # noqa: F401
                       pair_emission_blocks, sample_pair_emission)
 from .kernels import dead_time_mask, first_true, pair_delay_counts
-from .qcore import DensityMatrix
 from .rng import Stream
 from .table import format_table, read_table
+
+if TYPE_CHECKING:
+    from .qcore import DensityMatrix
 
 FWHM_PER_SIGMA = float(np.sqrt(8.0 * np.log(2.0)))  # Gaussian FWHM / sigma
 
@@ -190,6 +193,8 @@ def histogram_events(events: PhotonEvents, start_channel: int, stop_channel: int
 
 def ideal_timebin_density(model: TimebinStateModel) -> DensityMatrix:
     """Density matrix of the generated state: Bell coherence scaled by V."""
+    from .qcore import DensityMatrix
+
     v, phi = model.visibility, model.pump_phase
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = m[3, 3] = 0.5

@@ -44,8 +44,8 @@ def _entry_script(tmp_path):
 
 
 # the modules a config file loads: RunConfig builds every model
-_CONFIG_MODULES = ("cascade", "cavity", "config", "kernels", "optics", "qcore", "rng")
-_OPTICS_MODULES = ("cascade", "fitting", "kernels", "optics", "qcore", "rng")
+_CONFIG_MODULES = ("cascade", "cavity", "config", "kernels", "optics", "rng")
+_OPTICS_MODULES = ("cascade", "fitting", "kernels", "optics", "rng")
 # command: (exit code, tbsim modules besides tbsim, tbsim.cli and tbsim.table,
 # files it writes besides manifest.json). {out} is the command's own output
 # directory and {prev} that of the command before it. The dispatch path
@@ -59,7 +59,7 @@ _COMMANDS = {
     "cavity purcell --out {out}": (0, ("cavity",), ("purcell.csv",)),
     "cavity efficiency --out {out}": (0, ("cavity",), ("efficiency.json",)),
     "simulate tomography --config {cfg} --out {out}": (
-        0, _CONFIG_MODULES + ("tomo",), ("tomography_counts.csv",)),
+        0, _CONFIG_MODULES + ("qcore", "tomo"), ("tomography_counts.csv",)),
     "analyze tomo {prev}/tomography_counts.csv --out {out}": (
         0, ("qcore", "rng", "tomo"), ("analyze_tomo.json",)),
     "simulate rabi --config {cfg} --out {out}": (0, _CONFIG_MODULES, ("rabi_scan.csv",)),

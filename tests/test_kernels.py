@@ -76,6 +76,17 @@ def test_pair_delay_counts_top_edge_in_last_bin():
     assert np.array_equal(got, _pair_delay_oracle(starts, stops, -250250.0, 500.0, 1001))
 
 
+def test_pair_delay_counts_top_edge_pairs_add_to_ordinary_last_bin_pairs():
+    # four starts each with a stop one ulp below start + hi, whose quotients
+    # round to nbins, and two pairs inside the last bin proper: all six land there
+    starts = np.array([0.0, 1000.0, 2048.0, 4096.0])
+    edge = [np.nextafter(a + 250250.0, -np.inf) for a in starts]
+    stops = np.sort(np.array(edge + [starts[0] + 250000.0, starts[1] + 250000.0]))
+    got = kernels.pair_delay_counts(starts, stops, -250250.0, 500.0, 1001)
+    assert got[-1] == 6
+    assert np.array_equal(got, _pair_delay_oracle(starts, stops, -250250.0, 500.0, 1001))
+
+
 def _sorted_search(a, x, strict=False):
     """first_true over sorted `a` for each query in `x`: first i with a[i] >= x (> if strict)."""
     a, x = np.asarray(a, dtype=float), np.asarray(x, dtype=float)
@@ -188,6 +199,11 @@ def _pair_delay_case(draw):
 # the stop lies below start + lo, yet stop - start rounds up to lo, so the pair counts
 @example((np.array([1148.4]), np.array([np.nextafter(1148.4 - 750.0, -np.inf)]),
           -750.0, 500.0, 3))
+# |lo| far above w * nb: hi = lo + w * nb rounds (to 2**53 + 2), and the
+# delays d - lo in range stay below nbins all the same
+@example((np.array([-2.0, -1.0, 0.0, 0.5, 1.0]),
+          np.array([2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**53 + 4]),
+          2.0**53, 0.75, 3))
 @settings(max_examples=300, deadline=None)
 def test_property_pair_delay_counts_matches_brute_force(case):
     starts, stops, lo, w, nb = case

@@ -230,8 +230,7 @@ def test_blocked_telegraph_equals_one_whole_run_call(monkeypatch, block):
 
 
 @pytest.mark.parametrize("block", BLOCKS)
-def test_blocked_coins_equal_whole_run_coins(monkeypatch, block):
-    monkeypatch.setattr(rng, "BLOCK", block)
+def test_blocked_coins_equal_whole_run_coins(block):
     counters = np.arange(3, 3 + 10 * block + 4) ** 2
     for p in (0.0, 0.25, 0.5, 1.0):
         assert np.array_equal(rng.below(9, counters, p), rng.uniform(9, counters) < p)
